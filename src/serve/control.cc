@@ -80,11 +80,15 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
     if (command == "stats") {
         const ServeStats s = daemon_.stats();
         std::ostringstream out;
+        out.precision(17); // the running books round-trip exactly
         out << "{\"accepted\":" << s.accepted
             << ",\"rejected_full\":" << s.rejected_full
             << ",\"rejected_late\":" << s.rejected_late
             << ",\"released\":" << s.released
             << ",\"completed\":" << s.completed
+            << ",\"carbon_kg\":" << s.carbon_kg
+            << ",\"variable_cost\":" << s.variable_cost
+            << ",\"energy_kwh\":" << s.energy_kwh
             << ",\"sim_now\":" << s.sim_now
             << ",\"queue_depth\":" << s.queue_depth
             << ",\"queue_capacity\":" << s.queue_capacity << "}";

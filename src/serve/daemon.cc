@@ -97,6 +97,9 @@ ServeDaemon::stats() const
     s.rejected_late = driver_->rejectedLate();
     s.released = driver_->released();
     s.completed = completed_.load(std::memory_order_relaxed);
+    s.carbon_kg = carbon_kg_.load(std::memory_order_relaxed);
+    s.variable_cost = variable_cost_.load(std::memory_order_relaxed);
+    s.energy_kwh = energy_kwh_.load(std::memory_order_relaxed);
     s.sim_now = driver_->simNow();
     s.queue_depth = queue_.sizeApprox();
     s.queue_capacity = queue_.capacity();
@@ -128,7 +131,14 @@ ServeDaemon::onJobEnd(Seconds at, JobId id)
 {
     (void)at;
     (void)id;
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    // Runs on the consumer thread inside the engine's dispatch, so
+    // the engine's books are safe to read; publish them for stats().
+    const RunningBooks &books = engine_->runningBooks();
+    completed_.store(books.jobs, std::memory_order_relaxed);
+    carbon_kg_.store(books.carbon_kg, std::memory_order_relaxed);
+    variable_cost_.store(books.variable_cost,
+                         std::memory_order_relaxed);
+    energy_kwh_.store(books.energy_kwh, std::memory_order_relaxed);
 }
 
 } // namespace gaia::serve

@@ -71,6 +71,15 @@ struct ServeStats
     std::uint64_t released = 0;
     /** Jobs whose final segment settled (listener callbacks). */
     std::uint64_t completed = 0;
+    /**
+     * Running books over the completed jobs, summed in completion
+     * order (see RunningBooks): emissions, pay-as-you-go dollars
+     * (on-demand + spot), and energy. Idle reserved draw is billed
+     * only at drain.
+     */
+    double carbon_kg = 0.0;
+    double variable_cost = 0.0;
+    double energy_kwh = 0.0;
     /** Virtual time of the engine's clock. */
     Seconds sim_now = 0;
     /** Racy queue occupancy estimate. */
@@ -140,7 +149,11 @@ class ServeDaemon final : public ProtocolListener
     std::atomic<bool> draining_{false};
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> rejected_full_{0};
+    /** Published by onJobEnd() from the engine's running books. */
     std::atomic<std::uint64_t> completed_{0};
+    std::atomic<double> carbon_kg_{0.0};
+    std::atomic<double> variable_cost_{0.0};
+    std::atomic<double> energy_kwh_{0.0};
 };
 
 } // namespace gaia::serve

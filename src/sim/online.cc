@@ -114,6 +114,16 @@ OnlineScheduler::setDefaultElasticProfile(
 void
 OnlineScheduler::reserveJobs(std::size_t count)
 {
+    // The outcome column is reserved before the state pool on
+    // purpose. The column outlives the scheduler (finalize() moves it
+    // into the result, and sweeps keep every result), while the pool
+    // dies with it. Reserved the other way round, each run's freed
+    // pool lies below its retained column, and when a sweep drops its
+    // results glibc returns the whole span to the OS, only to fault it
+    // back in on the next pass: on the 27-cell fig14 sweep that was
+    // 122k minor faults per pass instead of 1.2k, and 27% fewer jobs
+    // per second on one thread.
+    outcomes_.reserve(count);
     states_.reserve(count);
     // Each job contributes its arrival plus (typically) one start
     // and one release event; 2x covers the common population
@@ -147,24 +157,28 @@ OnlineScheduler::onEvent(const SimEvent &event)
         drainPending();
         return;
       case EvJobEnd:
-        // Notification only; a listener detached after the schedule
-        // simply misses the callback.
+        // A listener detached after the schedule simply misses the
+        // callback; the books still advance.
+        creditRunningBooks(idx);
         if (listener_ != nullptr)
-            listener_->onJobEnd(events_.now(),
-                                states_[idx].outcome.id);
+            listener_->onJobEnd(events_.now(), outcomes_[idx].id);
         return;
     }
     panic("unknown event kind ", event.kind);
 }
 
 void
-OnlineScheduler::notifyJobEnd(std::size_t idx, Seconds at)
+OnlineScheduler::creditRunningBooks(std::size_t idx)
 {
-    if (listener_ == nullptr)
-        return;
-    events_.schedule(at, kNotifyPriority,
-                     SimEvent{EvJobEnd,
-                              static_cast<std::uint32_t>(idx), 0});
+    const JobOutcome &o = outcomes_[idx];
+    double core_seconds = o.overhead_core_seconds;
+    for (const PlacedSegment &seg : o.segments)
+        core_seconds += static_cast<double>(seg.duration()) * o.cpus *
+                        seg.width;
+    ++books_.jobs;
+    books_.carbon_kg += o.carbon_g / 1000.0;
+    books_.variable_cost += o.variable_cost;
+    books_.energy_kwh += cluster_.energy.kilowattHours(core_seconds);
 }
 
 void
@@ -222,10 +236,11 @@ OnlineScheduler::submit(const Job &job)
                 "payload");
     states_.emplace_back();
     states_[idx].job = admitted;
-    states_[idx].outcome.id = job.id;
-    states_[idx].outcome.submit = job.submit;
-    states_[idx].outcome.length = admitted.length;
-    states_[idx].outcome.cpus = job.cpus;
+    JobOutcome &outcome = outcomes_.emplace_back();
+    outcome.id = job.id;
+    outcome.submit = job.submit;
+    outcome.length = admitted.length;
+    outcome.cpus = job.cpus;
     // Priority 0: arrivals at a timestamp run before same-instant
     // releases/starts, so batch and incremental feeding agree. The
     // sequential lane keeps a batch-fed trace's arrivals (sorted by
@@ -321,7 +336,7 @@ OnlineScheduler::onArrival(std::size_t idx)
                     "plan start violates the waiting bound W");
     }
 
-    state.outcome.carbon_nowait_g = cis_.trace().gramsFor(
+    outcomes_[idx].carbon_nowait_g = cis_.trace().gramsFor(
         job.submit, job.submit + job.length,
         cluster_.energy.kilowatts(job.cpus));
 
@@ -414,7 +429,6 @@ void
 OnlineScheduler::followPlan(std::size_t idx, bool on_spot)
 {
     JobState &state = states_[idx];
-    state.started = true;
     if (!on_spot && strategy_ == ResourceStrategy::OnDemandOnly) {
         // Pure on-demand placement touches no shared state (no
         // reserved pool, no evictions), so deferring each segment
@@ -428,9 +442,8 @@ OnlineScheduler::followPlan(std::size_t idx, bool on_spot)
                           PurchaseOption::OnDemand, /*lost=*/false,
                           seg.width);
         }
-        notifyJobEnd(
-            idx,
-            state.plan.segment(state.plan.segmentCount() - 1).end);
+        settle(idx,
+               state.plan.segment(state.plan.segmentCount() - 1).end);
         return;
     }
     for (std::size_t s = 0; s < state.plan.segmentCount(); ++s) {
@@ -471,7 +484,7 @@ OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
                       seg.width);
     }
     if (seg_idx + 1 == state.plan.segmentCount())
-        notifyJobEnd(idx, seg.end);
+        settle(idx, seg.end);
 }
 
 void
@@ -482,7 +495,6 @@ OnlineScheduler::placeSpotSegment(std::size_t idx,
     if (state.aborted)
         return;
     const RunSegment &seg = state.plan.segment(seg_idx);
-    state.started = true;
     runSpotSlice(idx, seg.start, seg.end, seg.width,
                  seg_idx + 1 == state.plan.segmentCount());
 }
@@ -515,7 +527,7 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
         recordSegment(idx, from, to, PurchaseOption::Spot,
                       /*lost=*/false, width);
         if (final_slice)
-            notifyJobEnd(idx, to);
+            settle(idx, to);
         return;
     }
 
@@ -528,9 +540,12 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
         recordSegment(idx, from, evict_at, PurchaseOption::Spot,
                       /*lost=*/true, width);
     }
-    for (PlacedSegment &done : state.outcome.segments)
+    JobOutcome &outcome = outcomes_[idx];
+    for (PlacedSegment &done : outcome.segments)
         done.lost = true;
-    state.outcome.evictions += 1;
+    if (outcome.evictions == 0)
+        ++evicted_jobs_;
+    outcome.evictions += 1;
     state.aborted = true;
     events_.schedule(evict_at,
                      SimEvent{EvRestartAfterEviction,
@@ -582,7 +597,7 @@ OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
                       PurchaseOption::OnDemand, /*lost=*/false,
                       width);
     }
-    notifyJobEnd(idx, at + duration);
+    settle(idx, at + duration);
 }
 
 void
@@ -597,7 +612,6 @@ OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
     const int width = state.plan.segment(0).width;
     const Seconds duration = state.plan.totalRunTime();
     const int cores = job.cpus * width;
-    state.started = true;
     state.pending = false;
     pool_.acquire(cores, at);
     recordSegment(idx, at, at + duration,
@@ -606,7 +620,7 @@ OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
         at + duration,
         SimEvent{EvPoolRelease,
                  static_cast<std::uint32_t>(cores), 0});
-    notifyJobEnd(idx, at + duration);
+    settle(idx, at + duration);
 }
 
 void
@@ -615,9 +629,7 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
                                bool lost, int width)
 {
     GAIA_ASSERT(to > from, "empty placement [", from, ", ", to, ")");
-    JobState &state = states_[idx];
-    state.outcome.segments.push_back({from, to, option, lost,
-                                      width});
+    outcomes_[idx].segments.push_back({from, to, option, lost, width});
 }
 
 void
@@ -638,12 +650,11 @@ OnlineScheduler::onPlannedStart(std::size_t idx)
     }
     // Planned start reached without reserved capacity: on-demand,
     // at the plan's duration and width (single-segment plans only).
-    state.started = true;
     recordSegment(idx, events_.now(),
                   events_.now() + state.plan.totalRunTime(),
                   PurchaseOption::OnDemand, /*lost=*/false,
                   state.plan.segment(0).width);
-    notifyJobEnd(idx, events_.now() + state.plan.totalRunTime());
+    settle(idx, events_.now() + state.plan.totalRunTime());
 }
 
 void
@@ -667,57 +678,52 @@ OnlineScheduler::drainPending()
 }
 
 void
-OnlineScheduler::finalizeInto(SimulationResult &result)
+OnlineScheduler::settle(std::size_t idx, Seconds at)
 {
-    result.outcomes.reserve(states_.size());
-    for (JobState &state : states_) {
-        JobOutcome &o = state.outcome;
-        GAIA_ASSERT(!o.segments.empty(), "job ", o.id,
-                    " never executed");
-        if (o.segments.size() > 1) {
-            std::sort(
-                o.segments.begin(), o.segments.end(),
-                [](const PlacedSegment &a, const PlacedSegment &b) {
-                    return a.start < b.start;
-                });
-        }
+    JobState &state = states_[idx];
+    JobOutcome &o = outcomes_[idx];
+    GAIA_ASSERT(!state.settled, "job ", o.id, " settled twice");
+    GAIA_ASSERT(!o.segments.empty(), "job ", o.id, " never executed");
+    state.settled = true;
+    ++settled_jobs_;
+    if (o.segments.size() > 1) {
+        std::sort(o.segments.begin(), o.segments.end(),
+                  [](const PlacedSegment &a, const PlacedSegment &b) {
+                      return a.start < b.start;
+                  });
+    }
 
-        const ElasticProfile &profile = state.job.elastic;
-        const bool elastic_job = profile.enabled();
-        Seconds useful = 0;
-        double useful_work = 0.0;
-        o.start = o.segments.front().start;
-        o.finish = 0;
-        for (const PlacedSegment &seg : o.segments) {
-            // Every per-instance quantity scales with the gang
-            // width (1 for fixed-width jobs, so their books are
-            // bit-identical to before the field existed).
-            const int cores = o.cpus * seg.width;
-            const double core_seconds =
-                static_cast<double>(seg.duration()) * cores;
-            const double grams = cis_.trace().gramsFor(
-                seg.start, seg.end,
-                cluster_.energy.kilowatts(cores));
-            o.carbon_g += grams;
-            result.energy_kwh +=
-                cluster_.energy.kilowattHours(core_seconds);
+    const ElasticProfile &profile = state.job.elastic;
+    const bool elastic_job = profile.enabled();
+    Seconds useful = 0;
+    double useful_work = 0.0;
+    o.start = o.segments.front().start;
+    o.finish = 0;
+    for (const PlacedSegment &seg : o.segments) {
+        // Every per-instance quantity scales with the gang width (1
+        // for fixed-width jobs, so their books are bit-identical to
+        // before the field existed).
+        const int cores = o.cpus * seg.width;
+        const double core_seconds =
+            static_cast<double>(seg.duration()) * cores;
+        o.carbon_g += cis_.trace().gramsFor(
+            seg.start, seg.end, cluster_.energy.kilowatts(cores));
 
-            // Instance lifecycle overhead: each non-reserved
-            // segment is a fresh cloud acquisition whose spin-up
-            // time is billed and emits carbon without doing work.
+        if (seg.option != PurchaseOption::Reserved) {
+            // Instance lifecycle overhead: each non-reserved segment
+            // is a fresh cloud acquisition whose spin-up time is
+            // billed and emits carbon without doing work.
             double overhead_core_seconds = 0.0;
-            if (seg.option != PurchaseOption::Reserved &&
-                cluster_.startup_overhead > 0) {
+            if (cluster_.startup_overhead > 0) {
                 const Seconds ov = cluster_.startup_overhead;
-                overhead_core_seconds =
-                    static_cast<double>(ov) * cores;
+                overhead_core_seconds = static_cast<double>(ov) * cores;
                 const Seconds ov_from =
                     std::max<Seconds>(seg.start - ov, 0);
                 double ov_grams = cis_.trace().gramsFor(
                     ov_from, seg.start,
                     cluster_.energy.kilowatts(cores));
-                // Clip at t=0: charge the clipped part at the
-                // first slot's intensity.
+                // Clip at t=0: charge the clipped part at the first
+                // slot's intensity.
                 const Seconds clipped = ov - (seg.start - ov_from);
                 if (clipped > 0) {
                     ov_grams += cis_.trace().at(0) *
@@ -727,12 +733,158 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 }
                 o.carbon_g += ov_grams;
                 o.overhead_core_seconds += overhead_core_seconds;
-                result.overhead_core_seconds +=
-                    overhead_core_seconds;
-                result.energy_kwh += cluster_.energy.kilowattHours(
-                    overhead_core_seconds);
             }
+            o.variable_cost += cluster_.pricing.usageCost(
+                seg.option, core_seconds + overhead_core_seconds);
+        }
+        if (seg.lost) {
+            o.lost_core_seconds += core_seconds;
+        } else {
+            useful += seg.duration();
+            useful_work += static_cast<double>(seg.duration()) *
+                           (elastic_job ? profile.throughputAt(seg.width)
+                                        : 1.0);
+            o.finish = std::max(o.finish, seg.end);
+        }
+    }
+    if (elastic_job) {
+        // Elastic plans deliver work in whole-second chunks per
+        // instance, so up to one second of over-delivery per marginal
+        // instance plus the base chunk can accrue — bounded by
+        // 2 x maxThroughput seconds of work.
+        GAIA_ASSERT(useful_work + 1e-6 >= static_cast<double>(o.length) &&
+                        useful_work < static_cast<double>(o.length) +
+                                          2.0 * profile.maxThroughput() +
+                                          1e-6,
+                    "job ", o.id, " delivered ", useful_work,
+                    " work-seconds, expected about ", o.length);
+    } else {
+        GAIA_ASSERT(useful == o.length, "job ", o.id, " ran ", useful,
+                    "s of useful work, expected ", o.length);
+    }
+    GAIA_ASSERT(o.finish == at, "job ", o.id, " settled for ", at,
+                " but finishes at ", o.finish);
+    latest_finish_ = std::max(latest_finish_, o.finish);
+    if (horizon_ > 0 && o.finish > horizon_ &&
+        !horizon_overrun_warned_) {
+        // A user-supplied horizon can legitimately be shorter than
+        // the schedule: the books stay correct, but the overrun is
+        // surfaced (simulateChecked() holds a derived horizon to the
+        // strict contract). A zero horizon is derived at finalize()
+        // from latest_finish_, so it cannot be overrun.
+        warn("schedule extends past the configured reservation "
+             "horizon (job ", o.id, " finishes at ", o.finish, " > ",
+             horizon_, "); reserved upfront cost still covers only "
+             "the configured horizon");
+        horizon_overrun_warned_ = true;
+    }
 
+    if (listener_ != nullptr) {
+        events_.schedule(at, kNotifyPriority,
+                         SimEvent{EvJobEnd,
+                                  static_cast<std::uint32_t>(idx), 0});
+    }
+}
+
+void
+OnlineScheduler::addIdleReservedDraw(SimulationResult &result) const
+{
+    // Integrate CI over the idle share of the pool slot by slot.
+    const auto slots = static_cast<std::size_t>(
+        (horizon_ + kSecondsPerHour - 1) / kSecondsPerHour);
+    std::vector<double> busy(slots, 0.0); // core-seconds per slot
+    for (const JobOutcome &o : result.outcomes) {
+        for (const PlacedSegment &seg : o.segments) {
+            if (seg.option != PurchaseOption::Reserved)
+                continue;
+            Seconds cursor = seg.start;
+            while (cursor < seg.end) {
+                const auto slot =
+                    static_cast<std::size_t>(cursor / kSecondsPerHour);
+                const Seconds slot_end =
+                    static_cast<Seconds>(slot + 1) * kSecondsPerHour;
+                const Seconds end = std::min(slot_end, seg.end);
+                busy[slot] += static_cast<double>(end - cursor) *
+                              o.cpus * seg.width;
+                cursor = end;
+            }
+        }
+    }
+    const double idle_kw_per_core =
+        cluster_.energy.kilowatts(1) *
+        cluster_.reserved_idle_power_fraction;
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+        const Seconds slot_start_t =
+            static_cast<Seconds>(slot) * kSecondsPerHour;
+        const Seconds slot_len =
+            std::min<Seconds>(kSecondsPerHour, horizon_ - slot_start_t);
+        const double capacity =
+            static_cast<double>(cluster_.reserved_cores) *
+            static_cast<double>(slot_len);
+        const double idle_core_seconds =
+            std::max(0.0, capacity - busy[slot]);
+        const double kwh = idle_kw_per_core * idle_core_seconds /
+                           static_cast<double>(kSecondsPerHour);
+        result.idle_energy_kwh += kwh;
+        result.idle_carbon_kg +=
+            kwh * cis_.trace().atSlot(static_cast<SlotIndex>(slot)) /
+            1000.0;
+    }
+    result.energy_kwh += result.idle_energy_kwh;
+    result.carbon_kg += result.idle_carbon_kg;
+}
+
+SimulationResult
+OnlineScheduler::finalize()
+{
+    GAIA_ASSERT(!finalized_, "finalize() called twice");
+    GAIA_ASSERT(events_.empty(),
+                "finalize() with events still pending (",
+                states_.size() - settled_jobs_,
+                " unsettled jobs); call drain() first");
+    GAIA_ASSERT(settled_jobs_ == states_.size(), "finalize() with ",
+                states_.size() - settled_jobs_, " unsettled jobs");
+    GAIA_ASSERT(pending_.empty(), "jobs left pending after drain");
+    GAIA_ASSERT(pool_.inUse() == 0,
+                "reserved cores leaked: ", pool_.inUse());
+    finalized_ = true;
+
+    if (horizon_ == 0) {
+        // Online mode without a contracted horizon: cover the
+        // observed schedule, rounded up to whole days.
+        horizon_ = std::max<Seconds>(
+            ((latest_finish_ + kSecondsPerDay - 1) / kSecondsPerDay) *
+                kSecondsPerDay,
+            kSecondsPerDay);
+    }
+
+    SimulationResult result;
+    result.policy = policy_.name();
+    result.strategy = strategyName(strategy_);
+    result.region = cis_.trace().region();
+    result.workload = workload_;
+
+    // Every job is settled; what remains is summing the cluster
+    // aggregates. The sums run in job-index order, segment by
+    // segment — the order the books have always been closed in — so
+    // every aggregate stays bit-identical to a post-drain pass.
+    for (const JobOutcome &o : outcomes_) {
+        for (const PlacedSegment &seg : o.segments) {
+            const int cores = o.cpus * seg.width;
+            const double core_seconds =
+                static_cast<double>(seg.duration()) * cores;
+            result.energy_kwh +=
+                cluster_.energy.kilowattHours(core_seconds);
+            double overhead_core_seconds = 0.0;
+            if (seg.option != PurchaseOption::Reserved &&
+                cluster_.startup_overhead > 0) {
+                overhead_core_seconds =
+                    static_cast<double>(cluster_.startup_overhead) *
+                    cores;
+                result.overhead_core_seconds += overhead_core_seconds;
+                result.energy_kwh +=
+                    cluster_.energy.kilowattHours(overhead_core_seconds);
+            }
             switch (seg.option) {
               case PurchaseOption::Reserved:
                 result.reserved_core_seconds += core_seconds;
@@ -740,71 +892,17 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
               case PurchaseOption::OnDemand:
                 result.on_demand_core_seconds +=
                     core_seconds + overhead_core_seconds;
-                o.variable_cost += cluster_.pricing.usageCost(
-                    PurchaseOption::OnDemand,
-                    core_seconds + overhead_core_seconds);
                 break;
               case PurchaseOption::Spot:
                 result.spot_core_seconds +=
                     core_seconds + overhead_core_seconds;
-                o.variable_cost += cluster_.pricing.usageCost(
-                    PurchaseOption::Spot,
-                    core_seconds + overhead_core_seconds);
                 break;
             }
-            if (seg.lost) {
-                o.lost_core_seconds += core_seconds;
-            } else {
-                useful += seg.duration();
-                useful_work +=
-                    static_cast<double>(seg.duration()) *
-                    (elastic_job ? profile.throughputAt(seg.width)
-                                 : 1.0);
-                o.finish = std::max(o.finish, seg.end);
-            }
         }
-        if (elastic_job) {
-            // Elastic plans deliver work in whole-second chunks per
-            // instance, so up to one second of over-delivery per
-            // marginal instance plus the base chunk can accrue —
-            // bounded by 2 x maxThroughput seconds of work.
-            GAIA_ASSERT(useful_work + 1e-6 >=
-                                static_cast<double>(o.length) &&
-                            useful_work <
-                                static_cast<double>(o.length) +
-                                    2.0 * profile.maxThroughput() +
-                                    1e-6,
-                        "job ", o.id, " delivered ", useful_work,
-                        " work-seconds, expected about ", o.length);
-        } else {
-            GAIA_ASSERT(useful == o.length, "job ", o.id, " ran ",
-                        useful, "s of useful work, expected ",
-                        o.length);
-        }
-        if (o.finish > horizon_) {
-            // Impossible under the derived horizon (it covers every
-            // schedule the queue limits admit); a user-supplied
-            // horizon can legitimately be shorter, so the books
-            // stay correct but the overrun is surfaced.
-            GAIA_ASSERT(cluster_.reservation_horizon > 0,
-                        "job ", o.id,
-                        " finished past the derived horizon");
-            if (!horizon_overrun_warned_) {
-                warn("schedule extends past the configured "
-                     "reservation horizon (job ", o.id,
-                     " finishes at ", o.finish, " > ", horizon_,
-                     "); reserved upfront cost still covers only "
-                     "the configured horizon");
-                horizon_overrun_warned_ = true;
-            }
-        }
-
         result.carbon_kg += o.carbon_g / 1000.0;
         result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
         result.lost_core_seconds += o.lost_core_seconds;
-        result.eviction_count +=
-            static_cast<std::size_t>(o.evictions);
-        result.outcomes.push_back(std::move(o));
+        result.eviction_count += static_cast<std::size_t>(o.evictions);
     }
 
     // Split the variable cost by option from the usage totals so the
@@ -814,59 +912,11 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     result.spot_cost = cluster_.pricing.usageCost(
         PurchaseOption::Spot, result.spot_core_seconds);
 
-    // Idle-reserved power draw (0 under the paper's assumption):
-    // integrate CI over the idle share of the pool slot by slot.
+    result.outcomes = std::move(outcomes_);
+    // Idle-reserved power draw (0 under the paper's assumption).
     if (cluster_.reserved_cores > 0 &&
-        cluster_.reserved_idle_power_fraction > 0.0) {
-        const auto slots = static_cast<std::size_t>(
-            (horizon_ + kSecondsPerHour - 1) / kSecondsPerHour);
-        std::vector<double> busy(slots, 0.0); // core-seconds/slot
-        for (const JobOutcome &o : result.outcomes) {
-            for (const PlacedSegment &seg : o.segments) {
-                if (seg.option != PurchaseOption::Reserved)
-                    continue;
-                Seconds cursor = seg.start;
-                while (cursor < seg.end) {
-                    const auto slot = static_cast<std::size_t>(
-                        cursor / kSecondsPerHour);
-                    const Seconds slot_end =
-                        static_cast<Seconds>(slot + 1) *
-                        kSecondsPerHour;
-                    const Seconds end =
-                        std::min(slot_end, seg.end);
-                    busy[slot] +=
-                        static_cast<double>(end - cursor) *
-                        o.cpus * seg.width;
-                    cursor = end;
-                }
-            }
-        }
-        const double idle_kw_per_core =
-            cluster_.energy.kilowatts(1) *
-            cluster_.reserved_idle_power_fraction;
-        for (std::size_t slot = 0; slot < slots; ++slot) {
-            const Seconds slot_start_t =
-                static_cast<Seconds>(slot) * kSecondsPerHour;
-            const Seconds slot_len = std::min<Seconds>(
-                kSecondsPerHour, horizon_ - slot_start_t);
-            const double capacity =
-                static_cast<double>(cluster_.reserved_cores) *
-                static_cast<double>(slot_len);
-            const double idle_core_seconds =
-                std::max(0.0, capacity - busy[slot]);
-            const double kwh =
-                idle_kw_per_core * idle_core_seconds /
-                static_cast<double>(kSecondsPerHour);
-            result.idle_energy_kwh += kwh;
-            result.idle_carbon_kg +=
-                kwh *
-                cis_.trace().atSlot(
-                    static_cast<SlotIndex>(slot)) /
-                1000.0;
-        }
-        result.energy_kwh += result.idle_energy_kwh;
-        result.carbon_kg += result.idle_carbon_kg;
-    }
+        cluster_.reserved_idle_power_fraction > 0.0)
+        addIdleReservedDraw(result);
 
     result.reserved_cores = cluster_.reserved_cores;
     result.horizon = horizon_;
@@ -878,49 +928,13 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             (static_cast<double>(cluster_.reserved_cores) *
              static_cast<double>(horizon_));
     }
-}
-
-SimulationResult
-OnlineScheduler::finalize()
-{
-    GAIA_ASSERT(!finalized_, "finalize() called twice");
-    GAIA_ASSERT(events_.empty(),
-                "finalize() with events still pending; call "
-                "drain() first");
-    GAIA_ASSERT(pending_.empty(), "jobs left pending after drain");
-    GAIA_ASSERT(pool_.inUse() == 0,
-                "reserved cores leaked: ", pool_.inUse());
-    finalized_ = true;
-
-    if (horizon_ == 0) {
-        // Online mode without a contracted horizon: cover the
-        // observed schedule, rounded up to whole days.
-        Seconds last_finish = 0;
-        for (const JobState &state : states_) {
-            for (const PlacedSegment &seg :
-                 state.outcome.segments)
-                last_finish = std::max(last_finish, seg.end);
-        }
-        horizon_ = std::max<Seconds>(
-            ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
-                kSecondsPerDay,
-            kSecondsPerDay);
-        // Mark as explicit so the per-job horizon check treats the
-        // derived value as authoritative-but-soft.
-        cluster_.reservation_horizon = horizon_;
-    }
-
-    SimulationResult result;
-    result.policy = policy_.name();
-    result.strategy = strategyName(strategy_);
-    result.region = cis_.trace().region();
-    result.workload = workload_;
-    finalizeInto(result);
 
     // Flush this simulation's totals into the process-wide metrics.
     c_events.add(events_dispatched_);
     c_jobs_completed.add(result.outcomes.size());
     c_evictions.add(result.eviction_count);
+    if (evicted_jobs_ > 0)
+        c_jobs_evicted.add(evicted_jobs_);
     if (faults_injected_ > 0)
         c_faults_injected.add(faults_injected_);
     if (cis_retries_ > 0)
@@ -936,13 +950,6 @@ OnlineScheduler::finalize()
             (degraded_instance_seconds_ + kSecondsPerHour - 1) /
             kSecondsPerHour);
     }
-    std::uint64_t evicted_jobs = 0;
-    for (const JobOutcome &o : result.outcomes)
-        if (o.evictions > 0)
-            ++evicted_jobs;
-    if (evicted_jobs > 0)
-        c_jobs_evicted.add(evicted_jobs);
-
     return result;
 }
 

@@ -12,6 +12,12 @@
  * wrapper around this class, so both paths share one engine and one
  * accounting implementation.
  *
+ * Accounting streams: each job's books are settled once, when its
+ * final placement is recorded (see settle()), into an outcome column
+ * that finalize() hands to the result by move. finalize() itself only
+ * sums the cluster aggregates in job-index order and bills the idle
+ * reserved draw.
+ *
  * The event loop is allocation-free on the hot path: every handler
  * is a 16-byte tagged SimEvent carrying a job index into the
  * scheduler's job-state pool, dispatched through onEvent() — no
@@ -55,6 +61,22 @@
 namespace gaia {
 
 class FaultInjector;
+
+/**
+ * Running totals over completed jobs: the live "CO2 so far" view of
+ * a streamed run. Summed in completion order, whereas the drained
+ * SimulationResult sums in job-index order, so the two agree to
+ * rounding rather than bit for bit. Idle reserved draw is billed
+ * only at finalize() and is not part of these totals.
+ */
+struct RunningBooks
+{
+    std::uint64_t jobs = 0;
+    double carbon_kg = 0.0;
+    /** Pay-as-you-go dollars (on-demand + spot). */
+    double variable_cost = 0.0;
+    double energy_kwh = 0.0;
+};
 
 /**
  * Incremental cluster scheduler/simulator. Single-threaded; all
@@ -171,26 +193,44 @@ class OnlineScheduler : public ISchedulerProtocol,
     /** This run's plan memoization counters (see core/plan_cache.h). */
     const PlanCache &planCache() const { return *plan_cache_; }
 
+    /** Latest finish over the settled jobs; 0 before the first. */
+    Seconds latestFinish() const { return latest_finish_; }
+
+    /**
+     * Books of the jobs whose completion has been delivered, in
+     * completion order. Completions are delivered only while a
+     * ProtocolListener is attached (the serving path); read it from
+     * the listener callback, which runs on the engine's thread.
+     */
+    const RunningBooks &runningBooks() const { return books_; }
+
     /**
      * Close the books and return the result. The scheduler must be
-     * drained; finalize() may be called once.
+     * drained (every job settled); finalize() may be called once.
+     * One job-index-order pass sums the settled per-job books into
+     * the cluster aggregates, the idle reserved draw is billed, and
+     * the outcome column moves into the result.
      */
     SimulationResult finalize();
 
   private:
+    /**
+     * What the event loop needs of one job. Its books live apart, in
+     * the index-parallel outcomes_ column: record sites append
+     * placements there and settle() closes them.
+     */
     struct JobState
     {
         Job job;
         SchedulePlan plan;
         bool spot_eligible = false;
         bool pending = false;
-        bool started = false;
         bool aborted = false;
+        bool settled = false;
         /** Carbon-source probes spent in the degradation ladder. */
         std::uint32_t cis_attempts = 0;
         /** Post-eviction spot re-attempts under the storm model. */
         std::uint32_t spot_retries = 0;
-        JobOutcome outcome;
     };
 
     /** Event tags; payloads documented per tag. */
@@ -209,11 +249,11 @@ class OnlineScheduler : public ISchedulerProtocol,
         /** a = cpus to return to the reserved pool. */
         EvPoolRelease,
         /**
-         * a = job index; notification to the attached
-         * ProtocolListener that the job settled. Scheduled only
-         * while a listener is attached, so listener-free (batch)
-         * runs dispatch a bit-identical event stream to the
-         * pre-protocol engine.
+         * a = job index; fires at the job's finish instant, credits
+         * the running books and notifies the attached
+         * ProtocolListener. Scheduled only while a listener is
+         * attached, so listener-free (batch) runs dispatch a
+         * bit-identical event stream to the pre-protocol engine.
          */
         EvJobEnd,
     };
@@ -241,10 +281,18 @@ class OnlineScheduler : public ISchedulerProtocol,
      *  covers the whole job). */
     void runSpotSlice(std::size_t idx, Seconds from, Seconds to,
                       int width, bool final_slice);
-    /** Schedule the EvJobEnd notification for `idx` at `at`; no-op
-     *  without an attached listener. Called exactly once per job, at
-     *  the record site of its final non-lost segment. */
-    void notifyJobEnd(std::size_t idx, Seconds at);
+    /**
+     * Close job `idx`'s books: sort its placements, integrate carbon,
+     * bill its variable cost, and check the plan contract. Called
+     * exactly once per job, at the record site of its final non-lost
+     * segment (ending at `at`) — every placement the job will ever
+     * have is recorded by then. With a listener attached it also
+     * schedules the EvJobEnd notification for `at`.
+     */
+    void settle(std::size_t idx, Seconds at);
+    /** Add settled job `idx` to the running books (completion
+     *  order). */
+    void creditRunningBooks(std::size_t idx);
     void startOnReserved(std::size_t idx, Seconds at);
     void recordSegment(std::size_t idx, Seconds from, Seconds to,
                        PurchaseOption option, bool lost,
@@ -252,7 +300,8 @@ class OnlineScheduler : public ISchedulerProtocol,
     void onPlannedStart(std::size_t idx);
     void drainPending();
     void restartAfterEviction(std::size_t idx, Seconds at);
-    void finalizeInto(SimulationResult &result);
+    /** Bill idle-but-powered reserved cores over the horizon. */
+    void addIdleReservedDraw(SimulationResult &result) const;
 
     const SchedulingPolicy &policy_;
     const QueueConfig &queues_;
@@ -278,6 +327,20 @@ class OnlineScheduler : public ISchedulerProtocol,
     /** Indexed job pool; events reference jobs by index, so growth
      *  is free to relocate the vector. */
     std::vector<JobState> states_;
+    /**
+     * Per-job books, index-parallel to states_. Settled in place and
+     * handed to the result by move at finalize(), so the column the
+     * event loop wrote is the one the caller reads — no per-job copy.
+     */
+    std::vector<JobOutcome> outcomes_;
+    std::size_t settled_jobs_ = 0;
+    /** Latest finish among settled jobs: the observed schedule's
+     *  end, which an online run's derived horizon must cover. */
+    Seconds latest_finish_ = 0;
+    /** Jobs evicted at least once, counted at their first eviction
+     *  and flushed to sim.jobs_evicted at finalize(). */
+    std::uint64_t evicted_jobs_ = 0;
+    RunningBooks books_;
     std::multimap<Seconds, std::size_t> pending_;
     Seconds horizon_ = 0;
     bool horizon_overrun_warned_ = false;

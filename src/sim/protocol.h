@@ -61,7 +61,8 @@ class ProtocolListener
      * `id` finished its last successful segment at `at` (virtual
      * time). Fired through the event queue, so notifications are
      * delivered in non-decreasing `at` order, after every
-     * same-instant scheduling action.
+     * same-instant scheduling action. The engine's running books
+     * (OnlineScheduler::runningBooks()) already include the job.
      */
     virtual void onJobEnd(Seconds at, JobId id) = 0;
 };

@@ -36,6 +36,8 @@ JobTrace::JobTrace(std::string name, std::vector<Job> jobs)
     GAIA_ASSERT(valid.isOk(), "invalid job list passed to the ",
                 "constructor (use JobTrace::make for untrusted ",
                 "data): ", valid.message());
+    for (const Job &j : jobs_)
+        longest_ = std::max(longest_, j.length);
 }
 
 Result<JobTrace>
@@ -61,10 +63,7 @@ JobTrace::lastArrival() const
 Seconds
 JobTrace::busyHorizon() const
 {
-    Seconds max_len = 0;
-    for (const Job &j : jobs_)
-        max_len = std::max(max_len, j.length);
-    return lastArrival() + max_len;
+    return lastArrival() + longest_;
 }
 
 double

@@ -119,6 +119,9 @@ class JobTrace
 
     std::string name_;
     std::vector<Job> jobs_;
+    /** Longest job length, cached at construction (jobs_ never
+     *  changes afterwards). */
+    Seconds longest_ = 0;
 };
 
 } // namespace gaia

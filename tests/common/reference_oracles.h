@@ -6,8 +6,10 @@
  * Each production fast path in this repo is pinned to a naive loop
  * that re-derives the same answer the slow way: the carbon-trace
  * prefix/RMQ tables (test_cis_fastpath, test_plan_cache), the
- * Wait-Awhile greedy (test_policy_optimality), and the elastic
- * CarbonScaler allocator (test_elastic_oracle). The loops live here
+ * Wait-Awhile greedy (test_policy_optimality), the elastic
+ * CarbonScaler allocator (test_elastic_oracle), and the post-drain
+ * accounting pass the engine replaced by settling each job at its
+ * completion (test_accounting_oracle). The loops live here
  * so every suite tests against the *same* reference arithmetic —
  * bitwise agreement between two suites then means agreement with a
  * single shared oracle, not two coincidentally-similar ones.
@@ -30,6 +32,8 @@
 #include "common/stats.h"
 #include "common/time.h"
 #include "core/elastic.h"
+#include "sim/cluster.h"
+#include "sim/results.h"
 #include "trace/carbon_trace.h"
 
 namespace gaia {
@@ -292,6 +296,179 @@ planElasticFlatSort(const ElasticWindow &window, Seconds length)
     }
     EXPECT_LE(remaining, 0.0);
     return alloc;
+}
+
+/**
+ * Reference accounting: the post-drain pass that closed every job's
+ * books in one loop over the job pool, before the engine settled each
+ * job as it finished. `raw` supplies each job's recorded placements
+ * (in any order) plus what is known before settling — id, submit,
+ * length, cpus, carbon_nowait_g, evictions — and the result's labels;
+ * every settled per-job field and every aggregate is recomputed here
+ * from scratch. `horizon` 0 derives an online run's horizon from the
+ * observed schedule, as finalize() does.
+ */
+inline SimulationResult
+refCloseBooks(const SimulationResult &raw, const ClusterConfig &cluster,
+              Seconds horizon, const CarbonTrace &carbon)
+{
+    SimulationResult result;
+    result.policy = raw.policy;
+    result.strategy = raw.strategy;
+    result.region = raw.region;
+    result.workload = raw.workload;
+
+    if (horizon == 0) {
+        Seconds last_finish = 0;
+        for (const JobOutcome &o : raw.outcomes)
+            for (const PlacedSegment &seg : o.segments)
+                last_finish = std::max(last_finish, seg.end);
+        horizon = std::max<Seconds>(
+            ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
+                kSecondsPerDay,
+            kSecondsPerDay);
+    }
+
+    result.outcomes.reserve(raw.outcomes.size());
+    for (const JobOutcome &recorded : raw.outcomes) {
+        JobOutcome o;
+        o.id = recorded.id;
+        o.submit = recorded.submit;
+        o.length = recorded.length;
+        o.cpus = recorded.cpus;
+        o.segments = recorded.segments;
+        o.carbon_nowait_g = recorded.carbon_nowait_g;
+        o.evictions = recorded.evictions;
+        EXPECT_FALSE(o.segments.empty()) << "job " << o.id;
+        std::sort(o.segments.begin(), o.segments.end(),
+                  [](const PlacedSegment &a, const PlacedSegment &b) {
+                      return a.start < b.start;
+                  });
+
+        o.start = o.segments.front().start;
+        for (const PlacedSegment &seg : o.segments) {
+            const int cores = o.cpus * seg.width;
+            const double core_seconds =
+                static_cast<double>(seg.duration()) * cores;
+            o.carbon_g += carbon.gramsFor(
+                seg.start, seg.end, cluster.energy.kilowatts(cores));
+            result.energy_kwh +=
+                cluster.energy.kilowattHours(core_seconds);
+
+            double overhead_core_seconds = 0.0;
+            if (seg.option != PurchaseOption::Reserved &&
+                cluster.startup_overhead > 0) {
+                const Seconds ov = cluster.startup_overhead;
+                overhead_core_seconds = static_cast<double>(ov) * cores;
+                const Seconds ov_from =
+                    std::max<Seconds>(seg.start - ov, 0);
+                double ov_grams = carbon.gramsFor(
+                    ov_from, seg.start, cluster.energy.kilowatts(cores));
+                const Seconds clipped = ov - (seg.start - ov_from);
+                if (clipped > 0) {
+                    ov_grams += carbon.at(0) *
+                                cluster.energy.kilowatts(cores) *
+                                static_cast<double>(clipped) /
+                                static_cast<double>(kSecondsPerHour);
+                }
+                o.carbon_g += ov_grams;
+                o.overhead_core_seconds += overhead_core_seconds;
+                result.overhead_core_seconds += overhead_core_seconds;
+                result.energy_kwh +=
+                    cluster.energy.kilowattHours(overhead_core_seconds);
+            }
+
+            switch (seg.option) {
+              case PurchaseOption::Reserved:
+                result.reserved_core_seconds += core_seconds;
+                break;
+              case PurchaseOption::OnDemand:
+                result.on_demand_core_seconds +=
+                    core_seconds + overhead_core_seconds;
+                o.variable_cost += cluster.pricing.usageCost(
+                    PurchaseOption::OnDemand,
+                    core_seconds + overhead_core_seconds);
+                break;
+              case PurchaseOption::Spot:
+                result.spot_core_seconds +=
+                    core_seconds + overhead_core_seconds;
+                o.variable_cost += cluster.pricing.usageCost(
+                    PurchaseOption::Spot,
+                    core_seconds + overhead_core_seconds);
+                break;
+            }
+            if (seg.lost)
+                o.lost_core_seconds += core_seconds;
+            else
+                o.finish = std::max(o.finish, seg.end);
+        }
+
+        result.carbon_kg += o.carbon_g / 1000.0;
+        result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
+        result.lost_core_seconds += o.lost_core_seconds;
+        result.eviction_count += static_cast<std::size_t>(o.evictions);
+        result.outcomes.push_back(std::move(o));
+    }
+
+    result.on_demand_cost = cluster.pricing.usageCost(
+        PurchaseOption::OnDemand, result.on_demand_core_seconds);
+    result.spot_cost = cluster.pricing.usageCost(
+        PurchaseOption::Spot, result.spot_core_seconds);
+
+    if (cluster.reserved_cores > 0 &&
+        cluster.reserved_idle_power_fraction > 0.0) {
+        const auto slots = static_cast<std::size_t>(
+            (horizon + kSecondsPerHour - 1) / kSecondsPerHour);
+        std::vector<double> busy(slots, 0.0);
+        for (const JobOutcome &o : result.outcomes) {
+            for (const PlacedSegment &seg : o.segments) {
+                if (seg.option != PurchaseOption::Reserved)
+                    continue;
+                for (Seconds cursor = seg.start; cursor < seg.end;) {
+                    const auto slot = static_cast<std::size_t>(
+                        cursor / kSecondsPerHour);
+                    const Seconds end = std::min(
+                        static_cast<Seconds>(slot + 1) * kSecondsPerHour,
+                        seg.end);
+                    busy[slot] += static_cast<double>(end - cursor) *
+                                  o.cpus * seg.width;
+                    cursor = end;
+                }
+            }
+        }
+        const double idle_kw_per_core =
+            cluster.energy.kilowatts(1) *
+            cluster.reserved_idle_power_fraction;
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            const Seconds slot_len = std::min<Seconds>(
+                kSecondsPerHour,
+                horizon - static_cast<Seconds>(slot) * kSecondsPerHour);
+            const double idle_core_seconds = std::max(
+                0.0, static_cast<double>(cluster.reserved_cores) *
+                             static_cast<double>(slot_len) -
+                         busy[slot]);
+            const double kwh = idle_kw_per_core * idle_core_seconds /
+                               static_cast<double>(kSecondsPerHour);
+            result.idle_energy_kwh += kwh;
+            result.idle_carbon_kg +=
+                kwh * carbon.atSlot(static_cast<SlotIndex>(slot)) /
+                1000.0;
+        }
+        result.energy_kwh += result.idle_energy_kwh;
+        result.carbon_kg += result.idle_carbon_kg;
+    }
+
+    result.reserved_cores = cluster.reserved_cores;
+    result.horizon = horizon;
+    result.reserved_upfront =
+        cluster.pricing.reservedUpfront(cluster.reserved_cores, horizon);
+    if (cluster.reserved_cores > 0 && horizon > 0) {
+        result.reserved_utilization =
+            result.reserved_core_seconds /
+            (static_cast<double>(cluster.reserved_cores) *
+             static_cast<double>(horizon));
+    }
+    return result;
 }
 
 } // namespace gaia

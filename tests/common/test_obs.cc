@@ -251,7 +251,7 @@ TEST(MetricsSummary, PrintsEveryMetricName)
 struct TrackSpans
 {
     std::string thread_name;
-    /** (ts, dur, name) sorted by ts. */
+    /** (ts, dur, name) sorted by ts, then longest first. */
     std::vector<std::tuple<double, double, std::string>> spans;
 };
 
@@ -271,8 +271,21 @@ collectTracks(const JsonValue &root)
                                        event.at("dur").number,
                                        event.at("name").text);
     }
-    for (auto &[tid, track] : tracks)
-        std::sort(track.spans.begin(), track.spans.end());
+    // A child opened in the same microsecond as its parent must sort
+    // after it, so equal timestamps order by duration, longest first;
+    // the nesting check then holds each child inside its parent.
+    for (auto &[tid, track] : tracks) {
+        std::sort(track.spans.begin(), track.spans.end(),
+                  [](const auto &a, const auto &b) {
+                      const auto &[a_ts, a_dur, a_name] = a;
+                      const auto &[b_ts, b_dur, b_name] = b;
+                      if (a_ts != b_ts)
+                          return a_ts < b_ts;
+                      if (a_dur != b_dur)
+                          return a_dur > b_dur;
+                      return a_name < b_name;
+                  });
+    }
     return tracks;
 }
 

@@ -55,6 +55,10 @@ TEST(ControlServer, SubmitStatsAndDrainRoundTrip)
     EXPECT_EQ(reply.front(), '{');
     EXPECT_EQ(reply.back(), '}');
     EXPECT_NE(reply.find("\"accepted\":1"), std::string::npos);
+    for (const char *books : {"carbon_kg", "variable_cost", "energy_kwh"})
+        EXPECT_NE(reply.find(std::string("\"") + books + "\":"),
+                  std::string::npos)
+            << books << " missing from " << reply;
 
     EXPECT_TRUE(server.handleLine("drain", reply));
     ASSERT_EQ(reply.rfind("drained ", 0), 0u) << reply;

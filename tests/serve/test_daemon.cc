@@ -104,6 +104,48 @@ TEST(ServeDaemon, StreamedCalibrationTraceMatchesTheBatchRun)
     EXPECT_EQ(stats.rejected_late, 0u);
 }
 
+TEST(ServeDaemon, RunningBooksGrowDuringTheStreamAndMatchTheDrain)
+{
+    ServeConfig config;
+    config.scenario = smallSpec();
+    config.accel = 0.0;
+    Result<std::unique_ptr<ServeDaemon>> daemon =
+        ServeDaemon::start(config);
+    ASSERT_TRUE(daemon.isOk()) << daemon.status().toString();
+    ServeDaemon &d = **daemon;
+    const std::vector<Job> &jobs = d.calibrationTrace().jobs();
+    const std::size_t half = jobs.size() / 2;
+
+    for (std::size_t i = 0; i < half; ++i)
+        submitBlocking(d, jobs[i]);
+    const ServeStats mid = waitForStats(
+        d, [](const ServeStats &s) { return s.completed > 0; });
+    EXPECT_GT(mid.carbon_kg, 0.0);
+    EXPECT_GT(mid.energy_kwh, 0.0);
+
+    for (std::size_t i = half; i < jobs.size(); ++i)
+        submitBlocking(d, jobs[i]);
+    Result<SimulationResult> drained = d.drain();
+    ASSERT_TRUE(drained.isOk()) << drained.status().toString();
+    const ServeStats end = d.stats();
+    EXPECT_EQ(end.completed, jobs.size());
+    EXPECT_GT(end.carbon_kg, mid.carbon_kg);
+    EXPECT_GT(end.energy_kwh, mid.energy_kwh);
+    EXPECT_GE(end.variable_cost, mid.variable_cost);
+
+    // Summed in completion order rather than job-index order, so
+    // equal to rounding; the scenario bills no idle reserved draw.
+    ASSERT_EQ(drained->idle_carbon_kg, 0.0);
+    const double variable =
+        drained->on_demand_cost + drained->spot_cost;
+    EXPECT_GT(variable, 0.0);
+    EXPECT_NEAR(end.carbon_kg, drained->carbon_kg,
+                1e-9 * drained->carbon_kg);
+    EXPECT_NEAR(end.energy_kwh, drained->energy_kwh,
+                1e-9 * drained->energy_kwh);
+    EXPECT_NEAR(end.variable_cost, variable, 1e-9 * variable);
+}
+
 TEST(ServeDaemon, LateArrivalsAreCountedAndSkippedNotFatal)
 {
     ServeConfig config;
