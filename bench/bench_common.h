@@ -10,23 +10,27 @@
 #ifndef GAIA_BENCH_BENCH_COMMON_H
 #define GAIA_BENCH_BENCH_COMMON_H
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/parallel.h"
 #include "common/csv.h"
-#include "common/executor.h"
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/strings.h"
 #include "common/time.h"
-#include "core/plan_cache.h"
 #include "sim/simulator.h"
 
 namespace gaia::bench {
@@ -96,50 +100,61 @@ writeObsSinksAtExit()
                                  obs::metricsSnapshot());
 }
 
+/** Print `argv0: message` and exit with the usage-error code 2. */
+[[noreturn]] inline void
+usageError(const char *argv0, const std::string &message)
+{
+    std::cerr << argv0 << ": " << message << "\n";
+    std::exit(2);
+}
+
+/** Parse an integer flag value; a malformed one is a usage error. */
+inline std::int64_t
+intFlagValue(const char *argv0, const std::string &flag,
+             const std::string &value)
+{
+    const Result<std::int64_t> n = tryParseInt(value, flag);
+    if (!n.isOk())
+        usageError(argv0, n.status().message());
+    return n.value();
+}
+
 /**
  * Parse the shared bench flags: `--threads N` caps parallelFor's
- * worker count (overriding GAIA_THREADS; malformed or non-positive
- * values exit with code 2), `--no-memo` disables policy-plan
- * memoization, `--no-pool` routes parallelFor onto per-call
- * fork/join threads instead of the persistent executor,
- * `--metrics-out PATH` / `--trace-out PATH` write the metrics
- * snapshot / Chrome trace JSON at process exit, and `--verbose`
- * prints the metrics summary table at exit. Flags also accept the
- * `--flag=value` spelling. Unknown arguments are ignored so
- * individual benches can add their own.
+ * worker count (overriding GAIA_THREADS), `--metrics-out PATH` /
+ * `--trace-out PATH` write the metrics snapshot / Chrome trace JSON
+ * at process exit, and `--verbose` prints the metrics summary table
+ * at exit. Flags also accept the `--flag=value` spelling.
+ *
+ * `extra` names the bench's own flags: "--flag" for a switch,
+ * "--flag=" for one that takes a value. Their values come back
+ * keyed by flag name ("" for a switch). Anything else — an unknown
+ * flag, a stray word, a missing or malformed value — prints one
+ * line to stderr and exits with code 2.
  */
-inline void
-parseBenchArgs(int argc, char **argv)
+inline std::map<std::string, std::string>
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<std::string_view> extra = {})
 {
     const std::vector<std::string> args = expandEqualsArgs(
         std::vector<std::string>(argv + 1, argv + argc));
     const auto need_value = [&](std::size_t i,
                                 const std::string &flag) {
-        if (i + 1 >= args.size()) {
-            std::cerr << argv[0] << ": " << flag
-                      << " needs a value\n";
-            std::exit(2);
-        }
+        if (i + 1 >= args.size())
+            usageError(argv[0], flag + " needs a value");
         return args[i + 1];
     };
+    std::map<std::string, std::string> extras;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--threads") {
             const std::string value = need_value(i++, arg);
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n <= 0) {
-                std::cerr << argv[0]
-                          << ": --threads expects a positive "
-                             "integer, got '"
-                          << value << "'\n";
-                std::exit(2);
-            }
+            const std::int64_t n = intFlagValue(argv[0], arg, value);
+            if (n <= 0 || n > std::numeric_limits<unsigned>::max())
+                usageError(argv[0], "--threads expects a positive "
+                                    "integer, got '" +
+                                        value + "'");
             setParallelThreads(static_cast<unsigned>(n));
-        } else if (arg == "--no-memo") {
-            setPlanMemoization(false);
-        } else if (arg == "--no-pool") {
-            setExecutorPoolEnabled(false);
         } else if (arg == "--metrics-out" || arg == "--trace-out" ||
                    arg == "--verbose") {
             ObsSinkConfig &config = obsSinkConfig();
@@ -158,8 +173,17 @@ parseBenchArgs(int argc, char **argv)
             obs::setThreadTrackName("main");
             if (!config.trace_out.empty())
                 obs::setTracingEnabled(true);
+        } else if (std::find(extra.begin(), extra.end(), arg) !=
+                   extra.end()) {
+            extras[arg] = "";
+        } else if (std::find(extra.begin(), extra.end(), arg + "=") !=
+                   extra.end()) {
+            extras[arg] = need_value(i++, arg);
+        } else {
+            usageError(argv[0], "unknown argument '" + arg + "'");
         }
     }
+    return extras;
 }
 
 /** Directory for CSV mirrors (override with GAIA_RESULTS_DIR). */

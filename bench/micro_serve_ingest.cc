@@ -159,17 +159,13 @@ daemonIngestRate(std::size_t jobs)
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchArgs(argc, argv);
-    bool quick = false;
-    std::string json_path =
-        bench::resultsDir() + "/BENCH_serve.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--json" && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    const auto extras =
+        bench::parseBenchArgs(argc, argv, {"--quick", "--json="});
+    const bool quick = extras.count("--quick") > 0;
+    const auto json = extras.find("--json");
+    const std::string json_path =
+        json != extras.end() ? json->second
+                             : bench::resultsDir() + "/BENCH_serve.json";
 
     bench::banner("Serving-layer ingest",
                   "submission throughput through the MPSC queue "

@@ -75,12 +75,12 @@ const std::vector<FaultAxis> kAxes = {
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchArgs(argc, argv);
+    const auto extras =
+        bench::parseBenchArgs(argc, argv, {"--fault-seed="});
     std::uint64_t fault_seed = 1;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--fault-seed")
-            fault_seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
+    if (const auto it = extras.find("--fault-seed"); it != extras.end())
+        fault_seed = static_cast<std::uint64_t>(
+            bench::intFlagValue(argv[0], it->first, it->second));
     bench::banner("Resilience",
                   "carbon savings vs fault intensity (week-long "
                   "Alibaba-PAI, SA-AU, Spot-First)");

@@ -8,13 +8,10 @@
  * Executor (common/executor.h): runner tasks share an atomic index
  * counter, the calling thread runs one runner inline, and nested
  * parallelFor calls compose through the executor's task groups
- * instead of oversubscribing the machine with fresh threads. With
- * the pool disabled (setExecutorPoolEnabled(false), the --no-pool
- * bench ablation) it falls back to the historical fork-join team,
- * forkJoinParallelFor.
+ * instead of oversubscribing the machine with fresh threads.
  *
- * Both paths are exception-safe: the first exception thrown by
- * `fn(i)` stops the dispatch of new indices, every in-flight worker
+ * It is exception-safe: the first exception thrown by `fn(i)`
+ * stops the dispatch of new indices, every in-flight worker
  * finishes, and the exception is rethrown on the calling thread.
  *
  * The worker count resolves, in order: the explicit `threads`
@@ -30,64 +27,10 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/executor.h"
 
 namespace gaia {
-
-/**
- * Fork-join fallback: spawn `worker_count` fresh threads, join them
- * all, rethrow the first exception. If spawning itself fails
- * mid-loop (std::system_error from thread creation), the already
- * spawned part of the team is stopped and joined before the error
- * propagates — never std::terminate from an unjoined thread.
- */
-template <typename Fn>
-void
-forkJoinParallelFor(std::size_t n, Fn fn, unsigned worker_count)
-{
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> stop{false};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-
-    const auto runner = [&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-                stop.store(true, std::memory_order_relaxed);
-                return;
-            }
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(worker_count);
-    try {
-        for (unsigned w = 0; w < worker_count; ++w)
-            workers.emplace_back(runner);
-    } catch (...) {
-        stop.store(true, std::memory_order_relaxed);
-        for (std::thread &t : workers)
-            t.join();
-        throw;
-    }
-    for (std::thread &t : workers)
-        t.join();
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
 
 /**
  * Invoke `fn(i)` for i in [0, n) across up to `threads` workers
@@ -110,11 +53,6 @@ parallelFor(std::size_t n, Fn fn, unsigned threads = 0)
     if (cap <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
-        return;
-    }
-
-    if (!executorPoolEnabled()) {
-        forkJoinParallelFor(n, fn, cap);
         return;
     }
 

@@ -19,9 +19,6 @@ obs::Gauge &g_queue_depth = obs::gauge("executor.queue_depth");
 /** Process-wide worker-count override; 0 means "not set". */
 std::atomic<unsigned> thread_override{0};
 
-/** Pool toggle for the --no-pool ablation. */
-std::atomic<bool> pool_enabled{true};
-
 /** Worker-local identity for LIFO submission and stealing order. */
 thread_local Executor *tl_executor = nullptr;
 thread_local unsigned tl_worker_index = 0;
@@ -56,18 +53,6 @@ defaultParallelThreads()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 2;
-}
-
-void
-setExecutorPoolEnabled(bool enabled)
-{
-    pool_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-executorPoolEnabled()
-{
-    return pool_enabled.load(std::memory_order_relaxed);
 }
 
 Executor &

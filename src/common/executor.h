@@ -39,9 +39,8 @@
  *    task of the group has run. The first exception a group's task
  *    throws is rethrown from wait(); the destructor drains without
  *    rethrowing.
- *  - setParallelThreads / setExecutorPoolEnabled mutate process
- *    globals and belong in main() before parallel work starts, not
- *    in concurrent code.
+ *  - setParallelThreads mutates a process global and belongs in
+ *    main() before parallel work starts, not in concurrent code.
  */
 
 #ifndef GAIA_COMMON_EXECUTOR_H
@@ -77,14 +76,6 @@ void setParallelThreads(unsigned threads);
  * GAIA_THREADS value is ignored with a once-per-process warning.
  */
 unsigned defaultParallelThreads();
-
-/**
- * Enable/disable the persistent pool (default on). When off,
- * parallelFor falls back to fork-join thread teams — the --no-pool
- * bench ablation.
- */
-void setExecutorPoolEnabled(bool enabled);
-bool executorPoolEnabled();
 
 /** Persistent work-stealing thread pool. */
 class Executor

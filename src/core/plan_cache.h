@@ -69,8 +69,10 @@
 namespace gaia {
 
 /**
- * Process-wide memoization toggle (default on); the --no-memo bench
- * ablation. Checked once per job at plan-context build time.
+ * Process-wide memoization toggle (default on), kept as a test
+ * reference hook: tests turn it off to compare memoised plans
+ * against direct evaluation. Checked once per job at plan-context
+ * build time.
  */
 void setPlanMemoization(bool enabled);
 bool planMemoizationEnabled();

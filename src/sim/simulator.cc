@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
 #include "common/logging.h"
 #include "fault/injector.h"
 #include "sim/driver.h"
@@ -90,37 +88,6 @@ simulateChecked(const SimulationSetup &setup)
                     ", past the derived horizon ", result.horizon);
     }
     return result;
-}
-
-SimulationResult
-simulate(const SimulationSetup &setup)
-{
-    Result<SimulationResult> result = simulateChecked(setup);
-    GAIA_ASSERT(result.isOk(),
-                "simulate() on an invalid setup (use "
-                "simulateChecked for untrusted input): ",
-                result.status().message());
-    return std::move(result).value();
-}
-
-SimulationResult
-simulate(const JobTrace &trace, const SchedulingPolicy &policy,
-         const QueueConfig &queues, const CarbonInfoSource &cis,
-         const ClusterConfig &cluster, ResourceStrategy strategy)
-{
-    SimulationSetup setup;
-    setup.trace = &trace;
-    setup.policy = &policy;
-    setup.queues = &queues;
-    setup.cis = &cis;
-    setup.cluster = cluster;
-    setup.strategy = strategy;
-    Result<SimulationResult> result = simulateChecked(setup);
-    GAIA_ASSERT(result.isOk(),
-                "simulate() on an invalid setup (use "
-                "simulateChecked for untrusted input): ",
-                result.status().message());
-    return std::move(result).value();
 }
 
 } // namespace gaia

@@ -1,4 +1,4 @@
-/** @file Tests for the fork-join sweep helper. */
+/** @file Tests for parallelFor, the sweep index loop. */
 
 #include "analysis/parallel.h"
 

@@ -51,8 +51,8 @@ const std::vector<std::string> kFlagSources = {
     "src/cli/options.cc",
     "src/cli/gaia_serve.cc",
     "bench/bench_common.h",
-    "bench/micro_sim_throughput.cc",
     "bench/micro_serve_ingest.cc",
+    "bench/resilience_sweep.cc",
 };
 
 } // namespace

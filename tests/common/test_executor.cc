@@ -15,14 +15,10 @@
 namespace gaia {
 namespace {
 
-/** Restores the pool toggle and thread override on scope exit. */
+/** Restores the thread override on scope exit. */
 struct ExecutorConfigGuard
 {
-    ~ExecutorConfigGuard()
-    {
-        setExecutorPoolEnabled(true);
-        setParallelThreads(0);
-    }
+    ~ExecutorConfigGuard() { setParallelThreads(0); }
 };
 
 TEST(Executor, RunsSubmittedTasks)
@@ -155,8 +151,6 @@ TEST(ParallelFor, ZeroAndSingleIndexRunInline)
 
 TEST(ParallelFor, PropagatesExceptionOnPoolPath)
 {
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(true);
     EXPECT_THROW(parallelFor(
                      100,
                      [](std::size_t i) {
@@ -165,33 +159,6 @@ TEST(ParallelFor, PropagatesExceptionOnPoolPath)
                      },
                      4),
                  std::runtime_error);
-}
-
-TEST(ParallelFor, PropagatesExceptionOnForkJoinPath)
-{
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(false);
-    EXPECT_FALSE(executorPoolEnabled());
-    EXPECT_THROW(parallelFor(
-                     100,
-                     [](std::size_t i) {
-                         if (i == 37)
-                             throw std::runtime_error("boom");
-                     },
-                     4),
-                 std::runtime_error);
-}
-
-TEST(ParallelFor, ForkJoinFallbackCoversAllIndices)
-{
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(false);
-    const std::size_t n = 500;
-    std::vector<std::atomic<int>> hits(n);
-    parallelFor(
-        n, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelFor, NestedLoopsCompose)

@@ -335,17 +335,6 @@ TEST(SimulatorDeath, OnDemandOnlyWithReservedCoresIsFatal)
                  "OnDemandOnly strategy with 5 reserved");
 }
 
-TEST(SimulatorDeath, MissingInputsArePanics)
-{
-    // The deprecated trusted-input shim must keep its assert-on-bad-
-    // input contract for the release it survives.
-    SimulationSetup setup;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_DEATH(simulate(setup), "has no job trace");
-#pragma GCC diagnostic pop
-}
-
 TEST(SimulatorBuilder, EmptyBuildReportsTheMissingInput)
 {
     const Result<SimulationSetup> setup =
