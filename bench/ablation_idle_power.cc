@@ -12,25 +12,37 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "idle-reserved power draw vs carbon savings "
                   "(week-long Alibaba-PAI, SA-AU, R=9)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
+    spec.strategy = ResourceStrategy::HybridGreedy;
+    spec.cluster.reserved_cores = 9;
+
+    // Cells per idle fraction: NoWait, then Carbon-Time.
+    const std::vector<double> fractions = {0.0, 0.1, 0.3, 0.6, 1.0};
+    SweepEngine sweep;
+    for (double fraction : fractions) {
+        spec.cluster.reserved_idle_power_fraction = fraction;
+        for (const char *policy : {"NoWait", "Carbon-Time"}) {
+            spec.policy = policy;
+            spec.label = spec.policy + " idle=" + fmt(fraction, 1);
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
 
     TextTable table("Carbon (kg) and savings vs idle power",
                     {"idle fraction", "NoWait", "Carbon-Time",
@@ -39,17 +51,10 @@ main()
         "ablation_idle_power",
         {"idle_fraction", "nowait_kg", "ct_kg",
          "ct_savings_fraction", "ct_idle_kg"});
-    for (double fraction : {0.0, 0.1, 0.3, 0.6, 1.0}) {
-        ClusterConfig cluster;
-        cluster.reserved_cores = 9;
-        cluster.reserved_idle_power_fraction = fraction;
-
-        const SimulationResult nowait = runPolicy(
-            "NoWait", trace, queues, cis, cluster,
-            ResourceStrategy::HybridGreedy);
-        const SimulationResult ct = runPolicy(
-            "Carbon-Time", trace, queues, cis, cluster,
-            ResourceStrategy::HybridGreedy);
+    std::size_t cell = 0;
+    for (double fraction : fractions) {
+        const SimulationResult &nowait = sweep.result(cell++).value();
+        const SimulationResult &ct = sweep.result(cell++).value();
         const double savings =
             1.0 - ct.carbon_kg / nowait.carbon_kg;
         table.addRow(fmt(fraction, 1),

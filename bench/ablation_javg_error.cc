@@ -12,14 +12,16 @@
 
 #include "analysis/harness.h"
 #include "common/table.h"
+#include "core/policy_factory.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "mis-estimated queue-average job length "
                   "(week-long Alibaba-PAI, SA-AU)");
@@ -30,8 +32,8 @@ main()
     const CarbonInfoService cis(carbon);
     const QueueConfig calibrated = calibratedQueues(trace);
 
-    const SimulationResult nowait =
-        runPolicy("NoWait", trace, calibrated, cis);
+    const SimulationResult nowait = bench::runChecked(
+        trace, *makePolicy("NoWait"), calibrated, cis);
 
     TextTable table("Carbon savings vs J_avg scale",
                     {"J_avg scale", "LW savings", "CT savings",
@@ -51,10 +53,10 @@ main()
         }
         const QueueConfig queues(std::move(specs));
 
-        const SimulationResult lw =
-            runPolicy("Lowest-Window", trace, queues, cis);
-        const SimulationResult ct =
-            runPolicy("Carbon-Time", trace, queues, cis);
+        const SimulationResult lw = bench::runChecked(
+            trace, *makePolicy("Lowest-Window"), queues, cis);
+        const SimulationResult ct = bench::runChecked(
+            trace, *makePolicy("Carbon-Time"), queues, cis);
         const double lw_saving =
             1.0 - lw.carbon_kg / nowait.carbon_kg;
         const double ct_saving =

@@ -25,8 +25,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "length knowledge vs suspension (year traces, "
                   "CA-US)");

@@ -15,6 +15,7 @@
 #include "analysis/harness.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "core/policy_factory.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"
 
@@ -45,8 +46,9 @@ misclassify(const JobTrace &trace, const QueueConfig &queues,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "queue misclassification (week-long Alibaba-PAI, "
                   "SA-AU)");
@@ -57,8 +59,8 @@ main()
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = calibratedQueues(trace);
 
-    const SimulationResult nowait =
-        runPolicy("NoWait", trace, queues, cis);
+    const SimulationResult nowait = bench::runChecked(
+        trace, *makePolicy("NoWait"), queues, cis);
 
     TextTable table("Carbon savings and waiting vs error rate",
                     {"misclassified", "LW savings", "LW wait (h)",
@@ -69,10 +71,10 @@ main()
          "ct_wait_h"});
     for (double p : {0.0, 0.1, 0.25, 0.5}) {
         const JobTrace noisy = misclassify(trace, queues, p, 7);
-        const SimulationResult lw =
-            runPolicy("Lowest-Window", noisy, queues, cis);
-        const SimulationResult ct =
-            runPolicy("Carbon-Time", noisy, queues, cis);
+        const SimulationResult lw = bench::runChecked(
+            noisy, *makePolicy("Lowest-Window"), queues, cis);
+        const SimulationResult ct = bench::runChecked(
+            noisy, *makePolicy("Carbon-Time"), queues, cis);
         const double lw_s = 1.0 - lw.carbon_kg / nowait.carbon_kg;
         const double ct_s = 1.0 - ct.carbon_kg / nowait.carbon_kg;
         table.addRow(fmtPercent(p, 0),

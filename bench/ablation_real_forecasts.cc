@@ -10,28 +10,47 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "common/table.h"
 #include "trace/forecast.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "real forecast models vs the perfect-forecast "
                   "oracle (week-long Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
     // Extra leading history so rolling forecasters have data from
     // the first scheduling decision: jobs start at t=0 of a trace
     // whose model phase began 14 days earlier.
-    const CarbonTrace carbon = makeRegionTrace(
+    spec.carbon = CarbonSpec::forRegion(
         Region::SouthAustralia, bench::weekSlots() + 24 * 14, 1);
-    const QueueConfig queues = calibratedQueues(trace);
+
+    // Cell 0 is NoWait on the oracle; then, per policy, one cell per
+    // information regime in `forecasters` order.
+    const std::vector<std::string> policies = {
+        "Lowest-Window", "Carbon-Time", "Wait-Awhile"};
+    const char *const forecasters[] = {"oracle", "profile",
+                                       "persistence"};
+    SweepEngine sweep;
+    spec.label = spec.policy = "NoWait";
+    sweep.add(spec);
+    for (const std::string &policy : policies) {
+        for (const char *forecaster : forecasters) {
+            spec.policy = policy;
+            spec.cis.forecaster = forecaster;
+            spec.label = policy + " " + forecaster;
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
+    const CarbonTrace &carbon =
+        *sweep.cache().carbon(spec.carbon, spec.carbon.slots).value();
 
     // Forecast quality first.
     const PersistenceForecaster persistence;
@@ -56,13 +75,7 @@ main()
     accuracy.print(std::cout);
 
     // Savings under each information regime.
-    const CarbonInfoService oracle(carbon);
-    const CarbonInfoService cis_persistence(carbon, persistence);
-    const CarbonInfoService cis_profile(carbon, profile);
-
-    const SimulationResult nowait =
-        runPolicy("NoWait", trace, queues, oracle);
-
+    const SimulationResult &nowait = sweep.result(0).value();
     TextTable table("Carbon savings vs NoWait by forecast source",
                     {"policy", "oracle", "diurnal-profile",
                      "persistence"});
@@ -70,13 +83,11 @@ main()
         "ablation_real_forecasts",
         {"policy", "oracle_savings", "profile_savings",
          "persistence_savings"});
-    for (const char *policy :
-         {"Lowest-Window", "Carbon-Time", "Wait-Awhile"}) {
+    std::size_t cell = 1;
+    for (const std::string &policy : policies) {
         std::vector<double> savings;
-        for (const CarbonInfoService *cis :
-             {&oracle, &cis_profile, &cis_persistence}) {
-            const SimulationResult r =
-                runPolicy(policy, trace, queues, *cis);
+        for (std::size_t f = 0; f < std::size(forecasters); ++f) {
+            const SimulationResult &r = sweep.result(cell++).value();
             savings.push_back(1.0 -
                               r.carbon_kg / nowait.carbon_kg);
         }

@@ -11,28 +11,38 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "instance startup/teardown overhead (week-long "
                   "Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
 
+    // Cells per policy, in `overheads` order.
     const std::vector<std::string> policies = {
         "NoWait", "Carbon-Time", "Ecovisor", "Wait-Awhile"};
+    const std::vector<Seconds> overheads = {Seconds{0}, minutes(2),
+                                            minutes(5), minutes(10)};
+    SweepEngine sweep;
+    for (const std::string &policy : policies) {
+        spec.policy = policy;
+        for (Seconds overhead : overheads) {
+            spec.cluster.startup_overhead = overhead;
+            spec.label = policy + " +" + std::to_string(overhead) + "s";
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
 
     TextTable table("Total cost ($) vs per-acquisition overhead",
                     {"policy", "0 min", "2 min", "5 min", "10 min",
@@ -41,19 +51,12 @@ main()
         "ablation_startup_overhead",
         {"policy", "overhead_min", "cost_usd", "carbon_kg",
          "overhead_core_hours"});
+    std::size_t cell = 0;
     for (const std::string &policy : policies) {
         std::vector<double> costs;
-        double base_cost = 0.0;
-        for (Seconds overhead :
-             {Seconds{0}, minutes(2), minutes(5), minutes(10)}) {
-            ClusterConfig cluster;
-            cluster.startup_overhead = overhead;
-            const SimulationResult r = runPolicy(
-                policy, trace, queues, cis, cluster,
-                ResourceStrategy::OnDemandOnly);
+        for (Seconds overhead : overheads) {
+            const SimulationResult &r = sweep.result(cell++).value();
             costs.push_back(r.totalCost());
-            if (overhead == 0)
-                base_cost = r.totalCost();
             csv.writeRow({policy, fmt(toHours(overhead) * 60, 0),
                           fmt(r.totalCost(), 4),
                           fmt(r.carbon_kg, 4),
@@ -62,7 +65,7 @@ main()
         }
         table.addRow({policy, fmt(costs[0], 2), fmt(costs[1], 2),
                       fmt(costs[2], 2), fmt(costs[3], 2),
-                      fmtPercent(costs[3] / base_cost - 1.0)});
+                      fmtPercent(costs[3] / costs[0] - 1.0)});
     }
     table.print(std::cout);
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction binaries: a results
- * directory for CSV output, standard trace/region constructors, and
- * small formatting helpers. Each bench prints the paper's
- * rows/series as aligned tables and mirrors them into
- * bench_results/<name>.csv for external plotting.
+ * Shared plumbing for the figure-reproduction binaries: the shared
+ * flag parser, both ways a bench runs simulations (a SweepEngine
+ * over ScenarioSpecs, or runChecked() for a cell a spec cannot
+ * express), a results directory for CSV output, and small
+ * formatting helpers. Each bench prints the paper's rows/series as
+ * aligned tables and mirrors them into bench_results/<name>.csv for
+ * external plotting.
  */
 
 #ifndef GAIA_BENCH_BENCH_COMMON_H
@@ -25,8 +27,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/parallel.h"
+#include "analysis/sweep.h"
 #include "common/csv.h"
+#include "common/executor.h"
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/strings.h"
@@ -44,8 +47,7 @@ inline SimulationResult
 runChecked(const JobTrace &trace, const SchedulingPolicy &policy,
            const QueueConfig &queues, const CarbonInfoSource &cis,
            const ClusterConfig &cluster = {},
-           ResourceStrategy strategy = ResourceStrategy::OnDemandOnly,
-           const FaultInjector *faults = nullptr)
+           ResourceStrategy strategy = ResourceStrategy::OnDemandOnly)
 {
     const Result<SimulationSetup> setup = SimulationSetup::Builder()
                                               .trace(trace)
@@ -54,7 +56,6 @@ runChecked(const JobTrace &trace, const SchedulingPolicy &policy,
                                               .cis(cis)
                                               .cluster(cluster)
                                               .strategy(strategy)
-                                              .faults(faults)
                                               .build();
     if (!setup.isOk())
         fatal("simulation setup rejected: ",

@@ -25,8 +25,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "Adaptive-SR: suspend-resume inside GAIA "
                   "(week-long Alibaba-PAI, SA-AU)");
@@ -37,12 +38,14 @@ main()
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = calibratedQueues(trace);
 
+    const auto run = [&](const std::string &name,
+                         const JobTrace &jobs) {
+        return bench::runChecked(jobs, *makePolicy(name), queues, cis);
+    };
     std::vector<MetricsRow> rows;
     for (const char *name :
-         {"NoWait", "Carbon-Time", "Ecovisor", "Wait-Awhile"}) {
-        rows.push_back(metricsOf(
-            name, runPolicy(name, trace, queues, cis)));
-    }
+         {"NoWait", "Carbon-Time", "Ecovisor", "Wait-Awhile"})
+        rows.push_back(metricsOf(name, run(name, trace)));
     const AdaptiveSRPolicy adaptive;
     rows.push_back(metricsOf(
         "Adaptive-SR", bench::runChecked(trace, adaptive, queues, cis)));
@@ -91,16 +94,12 @@ main()
         long_csv.writeRow({label, fmt(r.carbon_kg, 4),
                            fmt(r.meanWaitingHours(), 4)});
     };
-    add_long("NoWait",
-             runPolicy("NoWait", long_jobs, queues, cis));
-    add_long("Carbon-Time",
-             runPolicy("Carbon-Time", long_jobs, queues, cis));
-    add_long("Ecovisor",
-             runPolicy("Ecovisor", long_jobs, queues, cis));
+    add_long("NoWait", run("NoWait", long_jobs));
+    add_long("Carbon-Time", run("Carbon-Time", long_jobs));
+    add_long("Ecovisor", run("Ecovisor", long_jobs));
     add_long("Adaptive-SR",
              bench::runChecked(long_jobs, adaptive, queues, cis));
-    add_long("Wait-Awhile",
-             runPolicy("Wait-Awhile", long_jobs, queues, cis));
+    add_long("Wait-Awhile", run("Wait-Awhile", long_jobs));
     long_table.print(std::cout);
 
     std::cout

@@ -12,31 +12,48 @@
 #include "bench_common.h"
 
 #include "analysis/carbon_tax.h"
-#include "analysis/harness.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "carbon tax folds the trade-off into cost "
                   "(week-long Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
 
+    // Cells 0..3 run `policies` on demand only. The last three are
+    // the hybrid variant: 9 reserved instances make carbon-aware
+    // scheduling genuinely more expensive, so a finite break-even
+    // price appears.
     const std::vector<std::string> policies = {
         "NoWait", "Lowest-Window", "Carbon-Time", "Wait-Awhile"};
-    std::vector<SimulationResult> results;
-    for (const std::string &p : policies)
-        results.push_back(runPolicy(p, trace, queues, cis));
+    SweepEngine sweep;
+    for (const std::string &p : policies) {
+        spec.label = spec.policy = p;
+        sweep.add(spec);
+    }
+    spec.cluster.reserved_cores = 9;
+    spec.strategy = ResourceStrategy::HybridGreedy;
+    spec.label = spec.policy = "NoWait";
+    const std::size_t nowait_hybrid = sweep.add(spec);
+    spec.label = spec.policy = "Carbon-Time";
+    const std::size_t ct_hybrid = sweep.add(spec);
+    spec.strategy = ResourceStrategy::ReservedFirst;
+    spec.label = "RES-First-Carbon-Time";
+    const std::size_t res_ct_hybrid = sweep.add(spec);
+    sweep.run();
+    const auto result =
+        [&](std::size_t i) -> const SimulationResult & {
+        return sweep.result(i).value();
+    };
 
     const std::vector<double> prices = {0,   25,  50,   100,
                                         200, 500, 1000};
@@ -49,7 +66,7 @@ main()
     for (std::size_t i = 0; i < policies.size(); ++i) {
         std::vector<double> row;
         for (double price : prices) {
-            row.push_back(effectiveCost(results[i], price));
+            row.push_back(effectiveCost(result(i), price));
             csv.writeRow({policies[i], fmt(price, 0),
                           fmt(row.back(), 4)});
         }
@@ -60,7 +77,7 @@ main()
     std::cout << "\nBreak-even carbon price vs NoWait:\n";
     for (std::size_t i = 1; i < policies.size(); ++i) {
         const double price =
-            breakEvenCarbonPrice(results[i], results[0]);
+            breakEvenCarbonPrice(result(i), result(0));
         std::cout << "  " << policies[i] << ": $" << fmt(price, 0)
                   << "/t\n";
     }
@@ -74,29 +91,15 @@ main()
            "carbon price in the bill, users face the raw "
            "three-way trade-off.\n";
 
-    // The hybrid variant: 9 reserved instances make carbon-aware
-    // scheduling genuinely more expensive, so a finite break-even
-    // price appears.
-    ClusterConfig cluster;
-    cluster.reserved_cores = 9;
-    const SimulationResult nowait_hybrid = runPolicy(
-        "NoWait", trace, queues, cis, cluster,
-        ResourceStrategy::HybridGreedy);
-    const SimulationResult ct_hybrid = runPolicy(
-        "Carbon-Time", trace, queues, cis, cluster,
-        ResourceStrategy::HybridGreedy);
-    const SimulationResult res_ct_hybrid = runPolicy(
-        "Carbon-Time", trace, queues, cis, cluster,
-        ResourceStrategy::ReservedFirst);
     std::cout << "\nHybrid cluster (R=9) break-even vs NoWait:\n"
               << "  Carbon-Time (greedy):    $"
-              << fmt(breakEvenCarbonPrice(ct_hybrid,
-                                          nowait_hybrid),
+              << fmt(breakEvenCarbonPrice(result(ct_hybrid),
+                                          result(nowait_hybrid)),
                      0)
               << "/t\n"
               << "  RES-First-Carbon-Time:   $"
-              << fmt(breakEvenCarbonPrice(res_ct_hybrid,
-                                          nowait_hybrid),
+              << fmt(breakEvenCarbonPrice(result(res_ct_hybrid),
+                                          result(nowait_hybrid)),
                      0)
               << "/t\n"
               << "Expectation: the work-conserving variant needs a "

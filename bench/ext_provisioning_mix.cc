@@ -15,7 +15,6 @@
 
 #include "bench_common.h"
 
-#include "analysis/sweep.h"
 #include "common/table.h"
 #include "sim/results.h"
 

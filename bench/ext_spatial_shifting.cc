@@ -47,8 +47,9 @@ spatialCarbonKg(const SpatialPartition &partition,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "spatial vs temporal carbon shifting (week-long "
                   "Alibaba-PAI)");

@@ -13,33 +13,15 @@
 
 #include "analysis/harness.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
-#include "workload/trace_stats.h"
 
 using namespace gaia;
 
 namespace {
 
 void
-runRegion(Region region, const JobTrace &trace,
-          const QueueConfig &queues)
+reportRegion(Region region, const SimulationResult &fcfs,
+             const SimulationResult &wa, const CarbonTrace &carbon)
 {
-    // Start in February (day 36) as in the paper's example.
-    const CarbonTrace carbon =
-        makeRegionTrace(region, 24 * 11, 2, 36.0);
-    const CarbonInfoService cis(carbon);
-
-    ClusterConfig cluster;
-    cluster.reserved_cores = 5;
-
-    const SimulationResult fcfs =
-        runPolicy("NoWait", trace, queues, cis, cluster,
-                  ResourceStrategy::HybridGreedy);
-    const SimulationResult wa =
-        runPolicy("Wait-Awhile", trace, queues, cis, cluster,
-                  ResourceStrategy::HybridGreedy);
-
     std::cout << "\n--- " << regionName(region) << " ---\n";
     std::cout << "Original demand   "
               << sparkline(allocationSeries(fcfs, hours(1)), 60)
@@ -77,8 +59,6 @@ runRegion(Region region, const JobTrace &trace,
     // Figure 2a's time series: demand/allocation per hour.
     const auto original = allocationSeries(fcfs, hours(1));
     const auto shifted = allocationSeries(wa, hours(1));
-    const CarbonTrace carbon_again =
-        makeRegionTrace(region, 24 * 11, 2, 36.0);
     auto series_csv = bench::openCsv(
         "fig02a_demand_" + toLower(regionName(region)),
         {"hour", "original_cores", "wait_awhile_cores",
@@ -90,29 +70,50 @@ runRegion(Region region, const JobTrace &trace,
         const double s = h < shifted.size() ? shifted[h] : 0.0;
         series_csv.writeRow(
             {std::to_string(h), fmt(o, 3), fmt(s, 3),
-             fmt(carbon_again.atSlot(
-                     static_cast<SlotIndex>(h)),
-                 1)});
+             fmt(carbon.atSlot(static_cast<SlotIndex>(h)), 1)});
     }
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 2",
                   "carbon-aware scheduling vs. cost/performance on "
                   "a hybrid cluster (motivating example)");
 
-    const JobTrace trace = makeMotivatingTrace(3 * kSecondsPerDay, 2);
-    const QueueConfig queues = calibratedQueues(trace);
+    const std::vector<Region> regions = {Region::CaliforniaUS,
+                                         Region::Sweden};
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::motivating(3 * kSecondsPerDay, 2);
+    spec.strategy = ResourceStrategy::HybridGreedy;
+    spec.cluster.reserved_cores = 5;
+
+    // Cells per region: carbon-agnostic NoWait, then Wait-Awhile.
+    SweepEngine sweep;
+    for (Region region : regions) {
+        // Start in February (day 36) as in the paper's example.
+        spec.carbon = CarbonSpec::forRegion(region, 24 * 11, 2, 36.0);
+        for (const char *policy : {"NoWait", "Wait-Awhile"}) {
+            spec.policy = policy;
+            spec.label = regionName(region) + " " + policy;
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
+
+    const JobTrace &trace = *sweep.cache().trace(spec.workload).value();
     std::cout << "Workload: " << trace.jobCount()
               << " jobs, mean demand "
               << fmt(trace.meanDemand(), 2) << " CPUs\n";
-
-    runRegion(Region::CaliforniaUS, trace, queues);
-    runRegion(Region::Sweden, trace, queues);
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        const CarbonSpec &carbon = sweep.spec(2 * r).carbon;
+        reportRegion(regions[r], sweep.result(2 * r).value(),
+                     sweep.result(2 * r + 1).value(),
+                     *sweep.cache().carbon(carbon, carbon.slots).value());
+    }
 
     std::cout << "\nShape target: California shows a sizeable "
                  "carbon cut at a much larger cost increase and a "

@@ -14,7 +14,6 @@
 #include "bench_common.h"
 
 #include "analysis/metrics.h"
-#include "analysis/sweep.h"
 #include "common/table.h"
 
 using namespace gaia;

@@ -10,29 +10,28 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "analysis/savings.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 9",
                   "CDF of carbon savings by job length "
                   "(Carbon-Time, week-long Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
-
-    const SimulationResult r =
-        runPolicy("Carbon-Time", trace, queues, cis);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
+    spec.label = spec.policy = "Carbon-Time";
+    SweepEngine sweep;
+    sweep.add(spec);
+    sweep.run();
+    const SimulationResult &r = sweep.result(0).value();
 
     const std::vector<double> points = {
         5.0 / 60.0, 0.25, 0.5, 1, 2, 3, 6, 12, 24, 48, 60, 72};

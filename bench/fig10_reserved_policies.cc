@@ -13,29 +13,24 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "analysis/metrics.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 10",
                   "policies on a hybrid cluster with 9 reserved "
                   "instances (week-long Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
-
-    ClusterConfig cluster;
-    cluster.reserved_cores = 9;
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
+    spec.cluster.reserved_cores = 9;
 
     struct Variant
     {
@@ -56,12 +51,19 @@ main()
          ResourceStrategy::ReservedFirst},
     };
 
-    std::vector<MetricsRow> rows;
+    SweepEngine sweep;
     for (const Variant &v : variants) {
-        const SimulationResult r = runPolicy(
-            v.policy, trace, queues, cis, cluster, v.strategy);
-        rows.push_back(metricsOf(v.label, r));
+        spec.policy = v.policy;
+        spec.strategy = v.strategy;
+        spec.label = v.label;
+        sweep.add(spec);
     }
+    sweep.run();
+
+    std::vector<MetricsRow> rows;
+    for (std::size_t i = 0; i < sweep.size(); ++i)
+        rows.push_back(metricsOf(sweep.spec(i).label,
+                                 sweep.result(i).value()));
     const auto normalized = normalizedToMax(rows);
 
     TextTable table("Normalized metrics (to the max per metric)",

@@ -12,45 +12,42 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 11",
                   "reserved-capacity sweep, RES-First-Carbon-Time "
                   "(week-long Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
-    std::cout << "Trace mean demand: "
-              << fmt(trace.meanDemand(), 1) << " CPUs\n";
-
-    const SimulationResult baseline =
-        runPolicy("NoWait", trace, queues, cis);
-
+    // Cell 0 is the NoWait baseline; cell 1 + i has reserved[i].
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
+    spec.label = spec.policy = "NoWait";
+    SweepEngine sweep;
+    sweep.add(spec);
+    spec.policy = "Carbon-Time";
     std::vector<int> reserved;
-    for (int r = 0; r <= 36; r += 3)
+    for (int r = 0; r <= 36; r += 3) {
+        spec.cluster.reserved_cores = r;
+        spec.strategy = r == 0 ? ResourceStrategy::OnDemandOnly
+                               : ResourceStrategy::ReservedFirst;
+        spec.label = "R=" + std::to_string(r);
+        sweep.add(spec);
         reserved.push_back(r);
-
-    std::vector<SimulationResult> results(reserved.size());
-    parallelFor(reserved.size(), [&](std::size_t i) {
-        ClusterConfig cluster;
-        cluster.reserved_cores = reserved[i];
-        results[i] = runPolicy(
-            "Carbon-Time", trace, queues, cis, cluster,
-            reserved[i] == 0 ? ResourceStrategy::OnDemandOnly
-                             : ResourceStrategy::ReservedFirst);
-    });
+    }
+    sweep.run();
+    std::cout << "Trace mean demand: "
+              << fmt(sweep.cache().trace(spec.workload).value()
+                         ->meanDemand(), 1)
+              << " CPUs\n";
+    const SimulationResult &baseline = sweep.result(0).value();
 
     TextTable table(
         "Normalized to NoWait on-demand execution",
@@ -62,20 +59,18 @@ main()
     double best_cost = 1e18;
     int best_r = 0;
     for (std::size_t i = 0; i < reserved.size(); ++i) {
-        const double norm_cost =
-            results[i].totalCost() / baseline.totalCost();
-        const double norm_carbon =
-            results[i].carbon_kg / baseline.carbon_kg;
+        const SimulationResult &r = sweep.result(1 + i).value();
+        const double norm_cost = r.totalCost() / baseline.totalCost();
+        const double norm_carbon = r.carbon_kg / baseline.carbon_kg;
         table.addRow(std::to_string(reserved[i]),
-                     {norm_cost, norm_carbon,
-                      results[i].meanWaitingHours(),
-                      results[i].reserved_utilization});
+                     {norm_cost, norm_carbon, r.meanWaitingHours(),
+                      r.reserved_utilization});
         csv.writeRow({std::to_string(reserved[i]),
                       fmt(norm_cost, 4), fmt(norm_carbon, 4),
-                      fmt(results[i].meanWaitingHours(), 4),
-                      fmt(results[i].reserved_utilization, 4)});
-        if (results[i].totalCost() < best_cost) {
-            best_cost = results[i].totalCost();
+                      fmt(r.meanWaitingHours(), 4),
+                      fmt(r.reserved_utilization, 4)});
+        if (r.totalCost() < best_cost) {
+            best_cost = r.totalCost();
             best_r = reserved[i];
         }
     }

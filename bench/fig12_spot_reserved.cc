@@ -11,26 +11,25 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
 #include "analysis/metrics.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 12",
                   "spot + reserved combinations (week-long "
                   "Alibaba-PAI, SA-AU)");
 
-    const JobTrace trace = makeWeekTrace(1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::weekSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::weekSlots(), 1);
+    spec.cluster.spot_max_length = 2 * kSecondsPerHour;
+    spec.cluster.spot_eviction_rate = 0.0; // paper: never evicted
 
     struct Variant
     {
@@ -52,16 +51,20 @@ main()
          ResourceStrategy::SpotReserved, 6},
     };
 
-    std::vector<MetricsRow> rows;
+    SweepEngine sweep;
     for (const Variant &v : variants) {
-        ClusterConfig cluster;
-        cluster.reserved_cores = v.reserved;
-        cluster.spot_max_length = 2 * kSecondsPerHour;
-        cluster.spot_eviction_rate = 0.0; // paper: never evicted
-        const SimulationResult r = runPolicy(
-            v.policy, trace, queues, cis, cluster, v.strategy);
-        rows.push_back(metricsOf(v.label, r));
+        spec.policy = v.policy;
+        spec.strategy = v.strategy;
+        spec.cluster.reserved_cores = v.reserved;
+        spec.label = v.label;
+        sweep.add(spec);
     }
+    sweep.run();
+
+    std::vector<MetricsRow> rows;
+    for (std::size_t i = 0; i < sweep.size(); ++i)
+        rows.push_back(metricsOf(sweep.spec(i).label,
+                                 sweep.result(i).value()));
     const auto normalized = normalizedToMax(rows);
 
     TextTable table("Normalized metrics (to the max per metric)",

@@ -13,30 +13,39 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 13",
                   "policies across year-long workload traces "
                   "(CA-US)");
 
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::CaliforniaUS, bench::yearSlots(), 1);
-    const CarbonInfoService cis(carbon);
-
     const std::vector<WorkloadSource> sources = {
         WorkloadSource::MustangHpc, WorkloadSource::AlibabaPai,
         WorkloadSource::AzureVm};
+    // Cell 0 of each trace's block is the NoWait baseline.
     const std::vector<std::string> policies = {
-        "Lowest-Window", "Carbon-Time", "Ecovisor", "Wait-Awhile"};
+        "NoWait", "Lowest-Window", "Carbon-Time", "Ecovisor",
+        "Wait-Awhile"};
+
+    ScenarioSpec spec;
+    spec.carbon = CarbonSpec::forRegion(Region::CaliforniaUS,
+                                        bench::yearSlots(), 1);
+    SweepEngine sweep;
+    for (WorkloadSource source : sources) {
+        spec.workload = WorkloadSpec::year(source, 1);
+        for (const std::string &policy : policies) {
+            spec.policy = policy;
+            spec.label = workloadName(source) + " " + policy;
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
 
     TextTable table("Normalized carbon / waiting (per trace, to "
                     "the max across policies)",
@@ -47,36 +56,26 @@ main()
         {"trace", "policy", "norm_carbon", "norm_wait",
          "savings_fraction"});
 
-    for (WorkloadSource source : sources) {
-        const JobTrace trace = makeYearTrace(source, 1);
-        const QueueConfig queues = calibratedQueues(trace);
-        const SimulationResult nowait =
-            runPolicy("NoWait", trace, queues, cis);
-
-        std::vector<SimulationResult> results(policies.size());
-        parallelFor(policies.size(), [&](std::size_t i) {
-            results[i] =
-                runPolicy(policies[i], trace, queues, cis);
-        });
-
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+        const std::size_t first = s * policies.size();
+        const SimulationResult &nowait = sweep.result(first).value();
         double max_carbon = 0.0, max_wait = 0.0;
-        for (const SimulationResult &r : results) {
+        for (std::size_t p = 1; p < policies.size(); ++p) {
+            const SimulationResult &r = sweep.result(first + p).value();
             max_carbon = std::max(max_carbon, r.carbon_kg);
             max_wait = std::max(max_wait, r.meanWaitingHours());
         }
-        for (std::size_t i = 0; i < policies.size(); ++i) {
-            const double saving =
-                1.0 - results[i].carbon_kg / nowait.carbon_kg;
-            table.addRow(
-                {workloadName(source), policies[i],
-                 fmt(results[i].carbon_kg / max_carbon, 3),
-                 fmt(results[i].meanWaitingHours() / max_wait, 3),
-                 fmtPercent(saving)});
-            csv.writeRow(
-                {workloadName(source), policies[i],
-                 fmt(results[i].carbon_kg / max_carbon, 4),
-                 fmt(results[i].meanWaitingHours() / max_wait, 4),
-                 fmt(saving, 4)});
+        for (std::size_t p = 1; p < policies.size(); ++p) {
+            const SimulationResult &r = sweep.result(first + p).value();
+            const double saving = 1.0 - r.carbon_kg / nowait.carbon_kg;
+            table.addRow({workloadName(sources[s]), policies[p],
+                          fmt(r.carbon_kg / max_carbon, 3),
+                          fmt(r.meanWaitingHours() / max_wait, 3),
+                          fmtPercent(saving)});
+            csv.writeRow({workloadName(sources[s]), policies[p],
+                          fmt(r.carbon_kg / max_carbon, 4),
+                          fmt(r.meanWaitingHours() / max_wait, 4),
+                          fmt(saving, 4)});
         }
     }
     table.print(std::cout);

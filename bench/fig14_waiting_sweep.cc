@@ -16,7 +16,6 @@
 
 #include <array>
 
-#include "analysis/sweep.h"
 #include "common/table.h"
 
 using namespace gaia;

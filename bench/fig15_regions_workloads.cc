@@ -11,17 +11,14 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 15",
                   "normalized carbon across regions and workloads "
                   "(Carbon-Time)");
@@ -38,31 +35,35 @@ main()
                               {"region", "mustang", "alibaba",
                                "azure", "alibaba_wait_h"});
 
-    // Workload traces are region-independent; build them once.
-    std::vector<JobTrace> traces;
-    std::vector<QueueConfig> queues;
-    for (WorkloadSource source : sources) {
-        traces.push_back(makeYearTrace(source, 1));
-        queues.push_back(calibratedQueues(traces.back()));
-    }
-
+    // Cells per (region, trace): NoWait, then Carbon-Time. Each
+    // trace is built once and shared across regions by the cache.
+    ScenarioSpec spec;
+    SweepEngine sweep;
     for (Region region : regions) {
-        const CarbonTrace carbon =
-            makeRegionTrace(region, bench::yearSlots(), 1);
-        const CarbonInfoService cis(carbon);
+        spec.carbon = CarbonSpec::forRegion(region, bench::yearSlots(), 1);
+        for (WorkloadSource source : sources) {
+            spec.workload = WorkloadSpec::year(source, 1);
+            for (const char *policy : {"NoWait", "Carbon-Time"}) {
+                spec.policy = policy;
+                spec.label = regionName(region) + " " +
+                             workloadName(source) + " " + policy;
+                sweep.add(spec);
+            }
+        }
+    }
+    sweep.run();
 
-        std::vector<double> normalized(sources.size());
+    std::size_t cell = 0;
+    for (Region region : regions) {
+        std::vector<double> normalized;
         double alibaba_wait = 0.0;
-        parallelFor(sources.size(), [&](std::size_t i) {
-            const SimulationResult nowait = runPolicy(
-                "NoWait", traces[i], queues[i], cis);
-            const SimulationResult ct = runPolicy(
-                "Carbon-Time", traces[i], queues[i], cis);
-            normalized[i] = ct.carbon_kg / nowait.carbon_kg;
-            if (sources[i] == WorkloadSource::AlibabaPai)
+        for (WorkloadSource source : sources) {
+            const SimulationResult &nowait = sweep.result(cell++).value();
+            const SimulationResult &ct = sweep.result(cell++).value();
+            normalized.push_back(ct.carbon_kg / nowait.carbon_kg);
+            if (source == WorkloadSource::AlibabaPai)
                 alibaba_wait = ct.meanWaitingHours();
-        });
-
+        }
         table.addRow(regionName(region),
                      {normalized[0], normalized[1], normalized[2],
                       alibaba_wait});

@@ -12,43 +12,33 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 16",
                   "normalized vs total carbon savings across "
                   "regions (Alibaba-PAI year, Carbon-Time)");
 
-    const JobTrace trace =
-        makeYearTrace(WorkloadSource::AlibabaPai, 1);
-    const QueueConfig queues = calibratedQueues(trace);
     const std::vector<Region> &regions = evaluationRegions();
 
-    struct Row
-    {
-        double normalized;
-        double saved_kg;
-    };
-    std::vector<Row> rows(regions.size());
-    parallelFor(regions.size(), [&](std::size_t i) {
-        const CarbonTrace carbon =
-            makeRegionTrace(regions[i], bench::yearSlots(), 1);
-        const CarbonInfoService cis(carbon);
-        const SimulationResult nowait =
-            runPolicy("NoWait", trace, queues, cis);
-        const SimulationResult ct =
-            runPolicy("Carbon-Time", trace, queues, cis);
-        rows[i] = {ct.carbon_kg / nowait.carbon_kg,
-                   nowait.carbon_kg - ct.carbon_kg};
-    });
+    // Cells per region: NoWait, then Carbon-Time.
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::year(WorkloadSource::AlibabaPai, 1);
+    SweepEngine sweep;
+    for (Region region : regions) {
+        spec.carbon = CarbonSpec::forRegion(region, bench::yearSlots(), 1);
+        for (const char *policy : {"NoWait", "Carbon-Time"}) {
+            spec.policy = policy;
+            spec.label = regionName(region) + " " + policy;
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
 
     TextTable table("Normalized carbon and total saved carbon",
                     {"region", "normalized carbon",
@@ -57,11 +47,13 @@ main()
         "fig16_total_savings",
         {"region", "normalized_carbon", "saved_kg"});
     for (std::size_t i = 0; i < regions.size(); ++i) {
-        table.addRow(regionName(regions[i]),
-                     {rows[i].normalized, rows[i].saved_kg});
-        csv.writeRow({regionName(regions[i]),
-                      fmt(rows[i].normalized, 4),
-                      fmt(rows[i].saved_kg, 2)});
+        const SimulationResult &nowait = sweep.result(2 * i).value();
+        const SimulationResult &ct = sweep.result(2 * i + 1).value();
+        const double normalized = ct.carbon_kg / nowait.carbon_kg;
+        const double saved_kg = nowait.carbon_kg - ct.carbon_kg;
+        table.addRow(regionName(regions[i]), {normalized, saved_kg});
+        csv.writeRow({regionName(regions[i]), fmt(normalized, 4),
+                      fmt(saved_kg, 2)});
     }
     table.print(std::cout);
 

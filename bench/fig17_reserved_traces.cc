@@ -14,25 +14,18 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 #include "workload/trace_stats.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 17",
                   "cost/carbon across traces with R = mean demand "
                   "(SA-AU)");
-
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::yearSlots(), 1);
-    const CarbonInfoService cis(carbon);
 
     struct Variant
     {
@@ -50,6 +43,32 @@ main()
          ResourceStrategy::ReservedFirst},
     };
 
+    // Cells per trace, in variant order, with R = the trace's mean
+    // demand.
+    const std::vector<WorkloadSource> sources = {
+        WorkloadSource::MustangHpc, WorkloadSource::AlibabaPai,
+        WorkloadSource::AzureVm};
+    ScenarioSpec spec;
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::yearSlots(), 1);
+    SweepEngine sweep;
+    std::vector<DemandStats> demands;
+    for (WorkloadSource source : sources) {
+        spec.workload = WorkloadSpec::year(source, 1);
+        const JobTrace &trace =
+            *sweep.cache().trace(spec.workload).value();
+        spec.cluster.reserved_cores =
+            static_cast<int>(trace.meanDemand() + 0.5);
+        demands.push_back(demandStats(trace));
+        for (const Variant &v : variants) {
+            spec.policy = v.policy;
+            spec.strategy = v.strategy;
+            spec.label = workloadName(source) + " " + v.label;
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
+
     TextTable table("Normalized cost / carbon (per trace, to the "
                     "max across policies)",
                     {"trace (R)", "policy", "cost", "carbon"});
@@ -57,51 +76,31 @@ main()
         "fig17_reserved_traces",
         {"trace", "reserved", "policy", "norm_cost", "norm_carbon",
          "cost_usd", "carbon_kg"});
-
-    for (WorkloadSource source :
-         {WorkloadSource::MustangHpc, WorkloadSource::AlibabaPai,
-          WorkloadSource::AzureVm}) {
-        const JobTrace trace = makeYearTrace(source, 1);
-        const QueueConfig queues = calibratedQueues(trace);
-        const int reserved =
-            static_cast<int>(trace.meanDemand() + 0.5);
-
-        ClusterConfig cluster;
-        cluster.reserved_cores = reserved;
-
-        std::vector<SimulationResult> results(variants.size());
-        parallelFor(variants.size(), [&](std::size_t i) {
-            results[i] = runPolicy(variants[i].policy, trace,
-                                   queues, cis, cluster,
-                                   variants[i].strategy);
-        });
-
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+        const std::size_t first = s * variants.size();
         double max_cost = 0.0, max_carbon = 0.0;
-        for (const SimulationResult &r : results) {
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+            const SimulationResult &r = sweep.result(first + i).value();
             max_cost = std::max(max_cost, r.totalCost());
             max_carbon = std::max(max_carbon, r.carbon_kg);
         }
-        const std::string trace_label = workloadName(source) +
-                                        " (" +
-                                        std::to_string(reserved) +
-                                        ")";
+        const std::string name = workloadName(sources[s]);
+        const std::string reserved =
+            std::to_string(sweep.spec(first).cluster.reserved_cores);
         for (std::size_t i = 0; i < variants.size(); ++i) {
-            table.addRow(
-                {trace_label, variants[i].label,
-                 fmt(results[i].totalCost() / max_cost, 3),
-                 fmt(results[i].carbon_kg / max_carbon, 3)});
-            csv.writeRow(
-                {workloadName(source), std::to_string(reserved),
-                 variants[i].label,
-                 fmt(results[i].totalCost() / max_cost, 4),
-                 fmt(results[i].carbon_kg / max_carbon, 4),
-                 fmt(results[i].totalCost(), 2),
-                 fmt(results[i].carbon_kg, 2)});
+            const SimulationResult &r = sweep.result(first + i).value();
+            table.addRow({name + " (" + reserved + ")",
+                          variants[i].label,
+                          fmt(r.totalCost() / max_cost, 3),
+                          fmt(r.carbon_kg / max_carbon, 3)});
+            csv.writeRow({name, reserved, variants[i].label,
+                          fmt(r.totalCost() / max_cost, 4),
+                          fmt(r.carbon_kg / max_carbon, 4),
+                          fmt(r.totalCost(), 2), fmt(r.carbon_kg, 2)});
         }
-        const DemandStats demand = demandStats(trace);
-        std::cout << workloadName(source) << ": mean demand "
-                  << fmt(demand.mean, 1) << " cores, CoV "
-                  << fmt(demand.cov, 2)
+        std::cout << name << ": mean demand "
+                  << fmt(demands[s].mean, 1) << " cores, CoV "
+                  << fmt(demands[s].cov, 2)
                   << " (paper: Mustang 0.8, Azure 0.3)\n";
     }
     table.print(std::cout);

@@ -13,46 +13,44 @@
 
 #include "bench_common.h"
 
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 18",
                   "Spot-First J^max sweep across eviction rates "
                   "(Azure-VM year, SA-AU)");
-
-    const JobTrace trace = makeYearTrace(WorkloadSource::AzureVm, 1);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, bench::yearSlots(), 1);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
-
-    const SimulationResult baseline =
-        runPolicy("NoWait", trace, queues, cis);
 
     const std::vector<double> rates = {0.0, 0.05, 0.10, 0.15};
     const std::vector<Seconds> bounds = {
         hours(2), hours(6), hours(12), hours(18), hours(24)};
 
-    std::vector<SimulationResult> results(rates.size() *
-                                          bounds.size());
-    parallelFor(results.size(), [&](std::size_t k) {
-        const std::size_t ri = k / bounds.size();
-        const std::size_t bi = k % bounds.size();
-        ClusterConfig cluster;
-        cluster.spot_eviction_rate = rates[ri];
-        cluster.spot_max_length = bounds[bi];
-        results[k] =
-            runPolicy("Carbon-Time", trace, queues, cis, cluster,
-                      ResourceStrategy::SpotFirst);
-    });
+    // Cell 0 is the NoWait baseline; cell 1 + ri * |bounds| + bi
+    // runs eviction rate ri at J^max bound bi.
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::year(WorkloadSource::AzureVm, 1);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        bench::yearSlots(), 1);
+    spec.label = spec.policy = "NoWait";
+    SweepEngine sweep;
+    sweep.add(spec);
+    spec.policy = "Carbon-Time";
+    spec.strategy = ResourceStrategy::SpotFirst;
+    for (double rate : rates) {
+        for (Seconds bound : bounds) {
+            spec.cluster.spot_eviction_rate = rate;
+            spec.cluster.spot_max_length = bound;
+            spec.label = "q=" + fmt(rate, 2) +
+                         " Jmax=" + fmt(toHours(bound), 0) + "h";
+            sweep.add(spec);
+        }
+    }
+    sweep.run();
+    const SimulationResult &baseline = sweep.result(0).value();
 
     TextTable cost_table(
         "(a) Cost normalized to NoWait on-demand",
@@ -68,7 +66,7 @@ main()
         std::vector<double> cost_row, carbon_row;
         for (std::size_t ri = 0; ri < rates.size(); ++ri) {
             const SimulationResult &r =
-                results[ri * bounds.size() + bi];
+                sweep.result(1 + ri * bounds.size() + bi).value();
             cost_row.push_back(r.totalCost() /
                                baseline.totalCost());
             carbon_row.push_back(r.carbon_kg /

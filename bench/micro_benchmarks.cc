@@ -8,9 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
+
 #include "analysis/harness.h"
 #include "core/policy_factory.h"
-#include "sim/simulator.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"
 
@@ -74,12 +75,13 @@ BM_SimulateWeekTrace(benchmark::State &state,
     const CarbonInfoService cis(weekCarbon());
     const JobTrace &trace = weekTrace();
     const QueueConfig queues = calibratedQueues(trace);
+    const PolicyPtr policy = makePolicy(policy_name);
     ClusterConfig cluster;
     cluster.reserved_cores = reserved;
 
     for (auto _ : state) {
-        const SimulationResult r = runPolicy(
-            policy_name, trace, queues, cis, cluster, strategy);
+        const SimulationResult r = bench::runChecked(
+            trace, *policy, queues, cis, cluster, strategy);
         benchmark::DoNotOptimize(r.carbon_kg);
     }
     state.SetItemsProcessed(

@@ -12,7 +12,6 @@
 
 #include "bench_common.h"
 
-#include "analysis/sweep.h"
 #include "common/table.h"
 #include "fault/fault_spec.h"
 #include "sim/results.h"

@@ -17,13 +17,10 @@
 #include <iostream>
 
 #include "analysis/frontier.h"
-#include "analysis/harness.h"
-#include "analysis/parallel.h"
+#include "analysis/sweep.h"
 #include "common/stats.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 #include "workload/trace_stats.h"
 
 using namespace gaia;
@@ -31,14 +28,17 @@ using namespace gaia;
 int
 main()
 {
-    // Your workload and region would be loaded from CSV here.
-    const JobTrace trace = makeWeekTrace(7);
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::CaliforniaUS, 24 * 13, 7);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
+    // Your workload and region would be loaded from CSV here
+    // (WorkloadSpec::fromCsv, CarbonSpec::fromCsv).
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(7);
+    spec.carbon =
+        CarbonSpec::forRegion(Region::CaliforniaUS, 24 * 13, 7);
 
     // Demand statistics frame the regimes.
+    SweepEngine engine;
+    const JobTrace &trace =
+        *engine.cache().trace(spec.workload).value();
     const auto series = demandSeries(trace, kSecondsPerHour);
     const double base_demand = percentile(series, 10.0);
     const DemandStats demand = demandStats(trace);
@@ -47,28 +47,30 @@ main()
               << ", peak " << fmt(demand.peak, 1) << ", CoV "
               << fmt(demand.cov, 2) << "\n";
 
-    const SimulationResult on_demand_only =
-        runPolicy("NoWait", trace, queues, cis);
-
+    // Cell 0 is the on-demand NoWait reference; cell 1 + i runs
+    // RES-First-Carbon-Time with sweep[i] reserved cores.
+    spec.policy = "NoWait";
+    engine.add(spec);
+    spec.policy = "Carbon-Time";
     std::vector<int> sweep;
     const int mean_demand = static_cast<int>(demand.mean + 0.5);
-    for (int r = 0; r <= 2 * mean_demand; r += 2)
+    for (int r = 0; r <= 2 * mean_demand; r += 2) {
+        spec.cluster.reserved_cores = r;
+        spec.strategy = r == 0 ? ResourceStrategy::OnDemandOnly
+                               : ResourceStrategy::ReservedFirst;
+        engine.add(spec);
         sweep.push_back(r);
-
-    std::vector<SimulationResult> results(sweep.size());
-    parallelFor(sweep.size(), [&](std::size_t i) {
-        ClusterConfig cluster;
-        cluster.reserved_cores = sweep[i];
-        results[i] = runPolicy(
-            "Carbon-Time", trace, queues, cis, cluster,
-            sweep[i] == 0 ? ResourceStrategy::OnDemandOnly
-                          : ResourceStrategy::ReservedFirst);
-    });
+    }
+    engine.run();
+    const SimulationResult &on_demand_only = engine.result(0).value();
+    const auto result = [&](std::size_t i) -> const SimulationResult & {
+        return engine.result(1 + i).value();
+    };
 
     // Locate the cost minimum to mark regime 3.
     std::size_t best = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].totalCost() < results[best].totalCost())
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        if (result(i).totalCost() < result(best).totalCost())
             best = i;
     }
 
@@ -86,13 +88,13 @@ main()
             regime = "3: avoid (past break-even)";
         table.addRow(
             {std::to_string(sweep[i]),
-             fmtPercent(results[i].totalCost() /
+             fmtPercent(result(i).totalCost() /
                             on_demand_only.totalCost() -
                         1.0),
-             fmtPercent(results[i].carbon_kg /
+             fmtPercent(result(i).carbon_kg /
                             on_demand_only.carbon_kg -
                         1.0),
-             fmt(results[i].meanWaitingHours(), 2), regime});
+             fmt(result(i).meanWaitingHours(), 2), regime});
     }
     table.print(std::cout);
 
@@ -108,7 +110,7 @@ main()
     std::vector<MetricsRow> rows;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         rows.push_back(metricsOf("R=" + std::to_string(sweep[i]),
-                                 results[i]));
+                                 result(i)));
     }
     const auto frontier = paretoFrontier(rows);
     const std::size_t knee = kneePoint(rows, frontier);

@@ -22,7 +22,9 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/table.h"
+#include "core/cis.h"
 #include "core/policies.h"
+#include "sim/simulator.h"
 #include "trace/price_trace.h"
 #include "workload/generators.h"
 

@@ -3,11 +3,11 @@
  * Quickstart — schedule a week of batch jobs carbon-aware.
  *
  * Demonstrates the minimal GAIA workflow:
- *   1. get a workload trace (here: the calibrated Alibaba-PAI
- *      week-long sample; JobTrace::fromCsv loads your own),
- *   2. get a carbon-intensity trace (here: the South Australia
- *      model; CarbonTrace::fromCsv loads ElectricityMaps data),
- *   3. configure queues, pick a policy, simulate,
+ *   1. name a workload (here: the calibrated Alibaba-PAI week-long
+ *      sample; WorkloadSpec::fromCsv loads your own),
+ *   2. name a carbon-intensity source (here: the South Australia
+ *      model; CarbonSpec::fromCsv loads ElectricityMaps data),
+ *   3. keep the paper's standard queues, pick a policy, simulate,
  *   4. read carbon / cost / waiting out of the result.
  *
  * Build and run:
@@ -17,39 +17,41 @@
 
 #include <iostream>
 
-#include "analysis/harness.h"
+#include "analysis/scenario.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
 int
 main()
 {
-    // 1. A week-long, 1000-job ML-cluster workload.
-    const JobTrace trace = makeWeekTrace(/*seed=*/42);
+    // 1. A week-long, 1000-job ML-cluster workload, and 2. hourly
+    //    grid carbon intensity for the scheduling horizon.
+    ScenarioSpec spec;
+    spec.workload = WorkloadSpec::week(/*seed=*/42);
+    spec.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        24 * 13, /*seed=*/42);
+
+    // 3. The spec's default queues are the paper's: short jobs
+    //    (<=2 h) may wait 6 h, long jobs 24 h, with J_avg calibrated
+    //    from the trace. Compare the carbon-agnostic baseline with
+    //    GAIA's carbon+performance-aware policy; the cache builds
+    //    the traces once for both runs.
+    AssetCache cache;
+    spec.policy = "NoWait";
+    const SimulationResult baseline =
+        runScenario(spec, cache).value();
+    spec.policy = "Carbon-Time";
+    const SimulationResult gaia_run =
+        runScenario(spec, cache).value();
+
+    const JobTrace &trace = *cache.trace(spec.workload).value();
     std::cout << "Workload: " << trace.jobCount() << " jobs, mean "
               << fmt(trace.meanDemand(), 1)
               << " concurrent CPUs\n";
 
-    // 2. Hourly grid carbon intensity for the scheduling horizon.
-    const CarbonTrace carbon = makeRegionTrace(
-        Region::SouthAustralia, 24 * 13, /*seed=*/42);
-    const CarbonInfoService cis(carbon);
-
-    // 3. The paper's standard queues: short jobs (<=2 h) may wait
-    //    6 h, long jobs 24 h; J_avg calibrated from history.
-    const QueueConfig queues = calibratedQueues(trace);
-
-    // 4. Compare the carbon-agnostic baseline with GAIA's
-    //    carbon+performance-aware policy.
-    const SimulationResult baseline =
-        runPolicy("NoWait", trace, queues, cis);
-    const SimulationResult gaia_run =
-        runPolicy("Carbon-Time", trace, queues, cis);
-
+    // 4. Read the books.
     TextTable table("NoWait vs Carbon-Time",
                     {"metric", "NoWait", "Carbon-Time"});
     table.addRow("carbon (kg CO2eq)",

@@ -13,11 +13,9 @@
 #include <array>
 #include <iostream>
 
-#include "analysis/harness.h"
+#include "analysis/sweep.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "trace/region_model.h"
-#include "workload/generators.h"
 
 using namespace gaia;
 
@@ -55,18 +53,21 @@ main()
     options.job_count = 30000;
     options.span = kSecondsPerYear;
     options.seed = 2026;
-    const JobTrace trace =
-        buildTrace(WorkloadSource::AlibabaPai, options).value();
-    const CarbonTrace carbon = makeRegionTrace(
+    ScenarioSpec spec;
+    spec.workload =
+        WorkloadSpec::builtin(WorkloadSource::AlibabaPai, options);
+    spec.carbon = CarbonSpec::forRegion(
         Region::SouthAustralia,
         static_cast<std::size_t>(kHoursPerYear) + 24 * 8, 2026);
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = calibratedQueues(trace);
 
-    const SimulationResult baseline =
-        runPolicy("NoWait", trace, queues, cis);
-    const SimulationResult green =
-        runPolicy("Carbon-Time", trace, queues, cis);
+    SweepEngine sweep;
+    for (const char *policy : {"NoWait", "Carbon-Time"}) {
+        spec.policy = policy;
+        sweep.add(spec);
+    }
+    sweep.run();
+    const SimulationResult &baseline = sweep.result(0).value();
+    const SimulationResult &green = sweep.result(1).value();
 
     const MonthlyBook base_book = bookOf(baseline);
     const MonthlyBook green_book = bookOf(green);

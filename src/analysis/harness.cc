@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/policy_factory.h"
 
 namespace gaia {
 
@@ -15,29 +14,6 @@ calibratedQueues(const JobTrace &trace, Seconds short_wait,
         QueueConfig::standardShortLong(short_wait, long_wait);
     queues.calibrateAverages(trace);
     return queues;
-}
-
-SimulationResult
-runPolicy(const std::string &policy_name, const JobTrace &trace,
-          const QueueConfig &queues, const CarbonInfoSource &cis,
-          const ClusterConfig &cluster, ResourceStrategy strategy)
-{
-    const PolicyPtr policy = makePolicy(policy_name);
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(*policy)
-            .queues(queues)
-            .cis(cis)
-            .cluster(cluster)
-            .strategy(strategy)
-            .build();
-    GAIA_ASSERT(setup.isOk(), "harness setup is invalid: ",
-                setup.status().message());
-    Result<SimulationResult> result = simulateChecked(*setup);
-    GAIA_ASSERT(result.isOk(), "harness simulation failed: ",
-                result.status().message());
-    return std::move(result).value();
 }
 
 std::vector<double>

@@ -1,8 +1,12 @@
 /**
  * @file
  * Conveniences shared by the figure-reproduction benches and the
- * example applications: calibrated queue setup, one-call policy
- * runs, and ASCII sparklines for time-series output.
+ * example applications: calibrated queue setup and ASCII
+ * sparklines for time-series output. Simulations themselves run
+ * through ScenarioSpec + runScenario()/SweepEngine
+ * (analysis/scenario.h, analysis/sweep.h), or through
+ * SimulationSetup::Builder + simulateChecked() when a cell needs
+ * inputs a spec cannot express.
  */
 
 #ifndef GAIA_ANALYSIS_HARNESS_H
@@ -11,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cis.h"
 #include "core/queues.h"
-#include "sim/simulator.h"
 #include "workload/job.h"
 
 namespace gaia {
@@ -26,16 +28,6 @@ QueueConfig calibratedQueues(
     const JobTrace &trace,
     Seconds short_wait = 6 * kSecondsPerHour,
     Seconds long_wait = 24 * kSecondsPerHour);
-
-/**
- * Build and run a policy by name against the given scenario; the
- * result's label fields are filled for reporting.
- */
-SimulationResult
-runPolicy(const std::string &policy_name, const JobTrace &trace,
-          const QueueConfig &queues, const CarbonInfoSource &cis,
-          const ClusterConfig &cluster = {},
-          ResourceStrategy strategy = ResourceStrategy::OnDemandOnly);
 
 /**
  * Render a numeric series as a one-line unicode sparkline (8

@@ -94,7 +94,6 @@ void
 SweepEngine::run()
 {
     const obs::Span span("sweep.run");
-    const auto begin = std::chrono::steady_clock::now();
     results_.assign(specs_.size(), std::nullopt);
     parallelFor(
         groups_.size(),
@@ -113,10 +112,6 @@ SweepEngine::run()
                 threads_);
         },
         threads_);
-    last_run_seconds_ =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - begin)
-            .count();
 }
 
 bool

@@ -94,9 +94,6 @@ class SweepEngine
     /** Whether run() has completed for cell `index`. */
     bool ran(std::size_t index) const;
 
-    /** Wall-clock seconds the most recent run() took (0 before). */
-    double lastRunSeconds() const { return last_run_seconds_; }
-
     /** Cell outcome; panics unless run() completed for `index`. */
     const Result<SimulationResult> &result(std::size_t index) const;
 
@@ -124,7 +121,6 @@ class SweepEngine
     void runCell(std::size_t index);
 
     unsigned threads_ = 0;
-    double last_run_seconds_ = 0.0;
     std::vector<ScenarioSpec> specs_;
     std::vector<Group> groups_;
     /** nullopt until run() fills the slot (Result has no default). */

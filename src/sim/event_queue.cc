@@ -18,7 +18,7 @@ EventQueue::packOrd(int priority)
 void
 EventQueue::schedule(Seconds when, SimEvent event)
 {
-    schedule(when, 1, event);
+    schedule(when, kDefaultPriority, event);
 }
 
 void

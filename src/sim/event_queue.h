@@ -47,14 +47,19 @@ class EventQueue
         virtual void onEvent(const SimEvent &event) = 0;
     };
 
+    /** Same-timestamp priority of the plain schedule() overload. */
+    static constexpr int kDefaultPriority = 2;
+
     /** Schedule `event` at absolute time `when` (>= now()). */
     void schedule(Seconds when, SimEvent event);
 
     /**
-     * Schedule with an explicit same-timestamp priority (lower runs
-     * first; the plain overload uses priority 1). Job arrivals use
-     * priority 0 so batch-fed and incrementally-fed simulations
-     * order timestamp ties identically.
+     * Schedule with an explicit same-timestamp priority in [0, 256)
+     * (lower runs first). Priorities below kDefaultPriority let a
+     * caller order ties by kind rather than by scheduling sequence:
+     * OnlineScheduler runs fresh job arrivals at 0 and CIS-retry
+     * re-arrivals at 1, so a batch feed and a stream that releases
+     * jobs between clock advances order every tie identically.
      */
     void schedule(Seconds when, int priority, SimEvent event);
 

@@ -29,11 +29,21 @@ obs::Counter &c_source_updates =
     obs::counter("serve.source_updates");
 
 /**
- * Same-timestamp priority of EvJobEnd notifications. Arrivals run at
- * 0 and every scheduling action at the default 1, so 2 delivers the
- * listener callback after the instant's state changes have settled.
+ * Same-timestamp priorities (lower runs first). Released jobs arrive
+ * at 0, before anything else at their instant. CIS-retry re-arrivals
+ * run at 1: after every fresh arrival at the same instant, whichever
+ * was scheduled first. A batch feed schedules every arrival before
+ * any retry, but a stream may release a job after a same-instant
+ * retry was queued; the kind, not the sequence, decides both ways.
+ * Scheduling actions take the queue's default (2), and EvJobEnd
+ * notifications run at 3, after the instant's state changes have
+ * settled.
  */
-constexpr int kNotifyPriority = 2;
+constexpr int kArrivalPriority = 0;
+constexpr int kRetryArrivalPriority = 1;
+constexpr int kNotifyPriority = 3;
+static_assert(kRetryArrivalPriority < EventQueue::kDefaultPriority &&
+              EventQueue::kDefaultPriority < kNotifyPriority);
 
 /**
  * Post-eviction restarts abandon the (now stale) plan and re-run the
@@ -241,13 +251,13 @@ OnlineScheduler::submit(const Job &job)
     outcome.submit = job.submit;
     outcome.length = admitted.length;
     outcome.cpus = job.cpus;
-    // Priority 0: arrivals at a timestamp run before same-instant
-    // releases/starts, so batch and incremental feeding agree. The
-    // sequential lane keeps a batch-fed trace's arrivals (sorted by
-    // submit time) out of the heap; a fault-delayed arrival that
-    // lands out of order falls back to the heap transparently.
+    // Arrivals at a timestamp run before same-instant releases and
+    // starts, so batch and incremental feeding agree. The sequential
+    // lane keeps a batch-fed trace's arrivals (sorted by submit
+    // time) out of the heap; a fault-delayed arrival that lands out
+    // of order falls back to the heap transparently.
     events_.scheduleSequential(
-        admitted.submit, /*priority=*/0,
+        admitted.submit, kArrivalPriority,
         SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
     return Status::ok();
 }
@@ -371,7 +381,7 @@ OnlineScheduler::retryArrivalLater(std::size_t idx)
     // so the stall counts as waiting.
     state.job.submit = events_.now() + backoff;
     events_.schedule(
-        state.job.submit, /*priority=*/0,
+        state.job.submit, kRetryArrivalPriority,
         SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
     return true;
 }

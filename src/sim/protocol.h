@@ -24,12 +24,14 @@
  * released stream, regardless of wall-clock pacing).
  *
  * Tie-breaking contract drivers rely on: events at equal virtual
- * timestamps dispatch in (priority, schedule order), and job
- * releases use the highest priority — so releasing a job before
- * advancing the clock *into* its submit second reproduces the
- * batch ordering exactly. A driver must therefore never advance
- * the clock past `submit - 1` of a job it has yet to release (the
- * wall-clock driver's release-horizon bound).
+ * timestamps dispatch in (priority, schedule order), job releases
+ * use the highest priority, and engine-made re-arrivals (CIS
+ * retries) the next one — so releasing a job before advancing the
+ * clock *into* its submit second reproduces the batch ordering
+ * exactly, however the releases interleave with clock advances. A
+ * driver must therefore never advance the clock past `submit - 1`
+ * of a job it has yet to release (the wall-clock driver's
+ * release-horizon bound).
  *
  * Thread-safety: a protocol instance is single-threaded — exactly
  * one driver thread may call it. Cross-thread submission hand-off

@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/region_model.h"
-#include "workload/generators.h"
-
 namespace gaia {
 namespace {
 
@@ -29,20 +26,6 @@ TEST(Harness, CalibratedQueuesCustomWaits)
         calibratedQueues(trace, hours(2), hours(12));
     EXPECT_EQ(queues.queue(0).max_wait, hours(2));
     EXPECT_EQ(queues.queue(1).max_wait, hours(12));
-}
-
-TEST(Harness, RunPolicySmoke)
-{
-    const CarbonTrace carbon =
-        makeRegionTrace(Region::CaliforniaUS, 24 * 10, 3);
-    const CarbonInfoService cis(carbon);
-    const JobTrace trace = makeMotivatingTrace(days(2), 4);
-    const QueueConfig queues = calibratedQueues(trace);
-    const SimulationResult r =
-        runPolicy("Carbon-Time", trace, queues, cis);
-    EXPECT_EQ(r.policy, "Carbon-Time");
-    EXPECT_EQ(r.outcomes.size(), trace.jobCount());
-    EXPECT_GT(r.totalCost(), 0.0);
 }
 
 TEST(Harness, DownsampleAverages)

@@ -34,6 +34,25 @@ TEST(BenchArgs, UnknownFlagExitsTwo)
     EXPECT_EQ(exitCode(FIG08_BIN, "--thread 1"), 2);
 }
 
+TEST(BenchArgs, EveryBenchRejectsAnUnknownFlag)
+{
+    // micro_benchmarks is skipped: its argv belongs to
+    // google-benchmark.
+    std::istringstream names(GAIA_BENCH_NAMES);
+    std::string name;
+    std::size_t checked = 0;
+    while (std::getline(names, name, ',')) {
+        if (name == "micro_benchmarks")
+            continue;
+        EXPECT_EQ(exitCode(std::string(GAIA_BENCH_DIR) + "/" + name,
+                           "--bogus-flag"),
+                  2)
+            << name;
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(BenchArgs, BadThreadsValueExitsTwo)
 {
     EXPECT_EQ(exitCode(FIG08_BIN, "--threads 0"), 2);

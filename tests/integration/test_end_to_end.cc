@@ -8,6 +8,7 @@
 #include "analysis/metrics.h"
 #include "common/table.h"
 #include "core/policy_factory.h"
+#include "tests/common/sim_test_util.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"
 
@@ -24,8 +25,8 @@ TEST(EndToEnd, FullPipelineOverAllPolicies)
 
     std::vector<MetricsRow> rows;
     for (const std::string &name : allPolicyNames()) {
-        const SimulationResult r =
-            runPolicy(name, trace, queues, cis);
+        const SimulationResult r = testutil::runSim(
+            trace, *makePolicy(name), queues, cis);
         EXPECT_EQ(r.outcomes.size(), trace.jobCount()) << name;
         EXPECT_GT(r.totalCost(), 0.0) << name;
         EXPECT_GT(r.carbon_kg, 0.0) << name;
@@ -63,10 +64,11 @@ TEST(EndToEnd, TraceCsvRoundTripPreservesResults)
         CarbonTrace::fromCsv(carbon_path, carbon.region()).value();
     const CarbonInfoService cis2(carbon2);
 
+    const PolicyPtr policy = makePolicy("Lowest-Window");
     const SimulationResult a =
-        runPolicy("Lowest-Window", trace, queues, cis);
+        testutil::runSim(trace, *policy, queues, cis);
     const SimulationResult b =
-        runPolicy("Lowest-Window", trace2, queues, cis2);
+        testutil::runSim(trace2, *policy, queues, cis2);
     // CSV carbon values are rounded to 4 decimals; totals must
     // agree to well under a gram.
     EXPECT_NEAR(a.carbon_kg, b.carbon_kg,
@@ -88,10 +90,11 @@ TEST(EndToEnd, SeedsProduceDistinctButValidWorlds)
     const CarbonInfoService cis1(c1);
     const CarbonInfoService cis2(c2);
 
+    const PolicyPtr policy = makePolicy("Carbon-Time");
     const SimulationResult r1 =
-        runPolicy("Carbon-Time", t1, calibratedQueues(t1), cis1);
+        testutil::runSim(t1, *policy, calibratedQueues(t1), cis1);
     const SimulationResult r2 =
-        runPolicy("Carbon-Time", t2, calibratedQueues(t2), cis2);
+        testutil::runSim(t2, *policy, calibratedQueues(t2), cis2);
     EXPECT_NE(r1.carbon_kg, r2.carbon_kg);
     EXPECT_NE(r1.totalCost(), r2.totalCost());
 }
@@ -108,10 +111,11 @@ TEST(EndToEnd, ForecastNoiseDegradesGracefully)
     const CarbonInfoService perfect(carbon, 0.0);
     const CarbonInfoService noisy(carbon, 0.5, 17);
 
+    const PolicyPtr policy = makePolicy("Lowest-Window");
     const SimulationResult clean =
-        runPolicy("Lowest-Window", trace, queues, perfect);
+        testutil::runSim(trace, *policy, queues, perfect);
     const SimulationResult rough =
-        runPolicy("Lowest-Window", trace, queues, noisy);
+        testutil::runSim(trace, *policy, queues, noisy);
 
     for (const JobOutcome &o : rough.outcomes) {
         const Seconds max_wait =

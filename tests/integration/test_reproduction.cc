@@ -11,6 +11,7 @@
 #include "analysis/harness.h"
 #include "analysis/savings.h"
 #include "core/policy_factory.h"
+#include "tests/common/sim_test_util.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"
 
@@ -34,8 +35,8 @@ class WeekScenario : public ::testing::Test
     run(const std::string &policy, ClusterConfig cluster = {},
         ResourceStrategy strategy = ResourceStrategy::OnDemandOnly)
     {
-        return runPolicy(policy, trace_, queues_, cis_, cluster,
-                         strategy);
+        return testutil::runSim(trace_, *makePolicy(policy), queues_,
+                                cis_, cluster, strategy);
     }
 
     JobTrace trace_;
@@ -190,12 +191,12 @@ TEST_F(WeekScenario, Figure2MotivatingTension)
     ClusterConfig cluster;
     cluster.reserved_cores = 5;
 
-    const SimulationResult fcfs =
-        runPolicy("NoWait", motivating, queues, cis, cluster,
-                  ResourceStrategy::HybridGreedy);
-    const SimulationResult wa =
-        runPolicy("Wait-Awhile", motivating, queues, cis, cluster,
-                  ResourceStrategy::HybridGreedy);
+    const SimulationResult fcfs = testutil::runSim(
+        motivating, *makePolicy("NoWait"), queues, cis, cluster,
+        ResourceStrategy::HybridGreedy);
+    const SimulationResult wa = testutil::runSim(
+        motivating, *makePolicy("Wait-Awhile"), queues, cis, cluster,
+        ResourceStrategy::HybridGreedy);
 
     EXPECT_LT(wa.carbon_kg, fcfs.carbon_kg * 0.95);
     EXPECT_GT(wa.totalCost(), fcfs.totalCost() * 1.1);
@@ -211,10 +212,10 @@ TEST_F(WeekScenario, Figure2SwedenBarelySavesCarbon)
         makeRegionTrace(Region::Sweden, 24 * 8, 2);
     const CarbonInfoService cis(sweden);
 
-    const SimulationResult fcfs =
-        runPolicy("NoWait", motivating, queues, cis);
-    const SimulationResult wa =
-        runPolicy("Wait-Awhile", motivating, queues, cis);
+    const SimulationResult fcfs = testutil::runSim(
+        motivating, *makePolicy("NoWait"), queues, cis);
+    const SimulationResult wa = testutil::runSim(
+        motivating, *makePolicy("Wait-Awhile"), queues, cis);
     const double saving =
         1.0 - wa.carbon_kg / fcfs.carbon_kg;
     EXPECT_LT(saving, 0.12); // paper: only ~4% in Sweden
@@ -232,10 +233,10 @@ TEST_F(WeekScenario, Figure15RegionalSavingsOrdering)
     const double sa_saving =
         1.0 - run("Carbon-Time").carbon_kg /
                   run("NoWait").carbon_kg;
-    const SimulationResult ky_ct =
-        runPolicy("Carbon-Time", trace_, queues_, cis_ky);
-    const SimulationResult ky_nw =
-        runPolicy("NoWait", trace_, queues_, cis_ky);
+    const SimulationResult ky_ct = testutil::runSim(
+        trace_, *makePolicy("Carbon-Time"), queues_, cis_ky);
+    const SimulationResult ky_nw = testutil::runSim(
+        trace_, *makePolicy("NoWait"), queues_, cis_ky);
     const double ky_saving = 1.0 - ky_ct.carbon_kg /
                                        ky_nw.carbon_kg;
 
@@ -283,8 +284,8 @@ TEST_F(WeekScenario, WaitingSweepShowsDiminishingReturns)
     for (Seconds w : {hours(3), hours(24), hours(72)}) {
         const QueueConfig queues =
             calibratedQueues(trace_, hours(6), w);
-        const SimulationResult r = runPolicy(
-            "Lowest-Window", trace_, queues, cis_);
+        const SimulationResult r = testutil::runSim(
+            trace_, *makePolicy("Lowest-Window"), queues, cis_);
         const double saved = nowait.carbon_kg - r.carbon_kg;
         ratios.push_back(saved / r.meanWaitingHours());
         EXPECT_GT(ratios.back(), 0.0);

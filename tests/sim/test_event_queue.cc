@@ -206,9 +206,10 @@ TEST(EventQueue, PriorityBreaksTimestampTies)
 {
     EventQueue q;
     Recorder sink(q);
-    q.schedule(10, SimEvent{0, 2, 0});    // default prio 1
+    q.schedule(10, SimEvent{0, 2, 0});    // kDefaultPriority
     q.schedule(10, 0, SimEvent{0, 1, 0}); // prio 0
-    q.schedule(10, 2, SimEvent{0, 3, 0}); // prio 2
+    q.schedule(10, EventQueue::kDefaultPriority + 1,
+               SimEvent{0, 3, 0});
     q.schedule(5, 9, SimEvent{0, 0, 0});  // earlier time wins
     q.runAll(sink);
     EXPECT_EQ(sink.payloads,
