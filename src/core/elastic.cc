@@ -69,28 +69,39 @@ makeElasticWindow(const Job &job, const PlanContext &ctx)
             window.slots.push_back({s, from, to, 0.0});
     }
 
-    // Slot intensities: one forecastAtSlot() each. The first slot is
-    // measured truth (constant within the slot), later slots are
-    // per-slot forecasts, so the vector is shared by every arrival
-    // in the slot and may be replayed from the PlanCache whenever
-    // the source is slot-invariant — with values bitwise identical
-    // to the direct calls by construction.
+    // Slot intensities: one forecastAtSlot() each. The arrival slot
+    // is measured truth for this reader — an earlier arrival saw it
+    // as a forecast — so it is always asked directly. Later slots
+    // are per-slot forecasts, shared by every arrival in the slot,
+    // and are read from the PlanCache whenever the source is
+    // slot-invariant, with values bitwise identical to the direct
+    // calls by construction.
     const CarbonInfoSource &cis = *ctx.cis;
+    GAIA_ASSERT(!window.slots.empty() &&
+                    window.slots.front().index == slotOf(now),
+                "elastic window must open in the arrival slot");
+    window.slots.front().ci =
+        cis.forecastAtSlot(now, window.slots.front().index);
+    const auto later = static_cast<std::int64_t>(window.slots.size()) - 1;
     if (ctx.cache != nullptr && cis.slotInvariantForecasts() &&
-        !window.slots.empty()) {
+        later > 0) {
         const PlanCache::BoundaryKey key{
-            slotStart(window.slots.front().index),
-            static_cast<std::int64_t>(window.slots.size()),
+            slotStart(window.slots.front().index + 1), later,
             kSlotIntensityKey};
-        const std::vector<double> &intensities =
-            ctx.cache->startIntegrals(key, [&](Seconds b) {
+        ctx.cache->startIntegrals(
+            key, now,
+            [&](Seconds b) {
                 return cis.forecastAtSlot(now, slotOf(b));
+            },
+            [&](const double *intensities) {
+                for (std::int64_t i = 0; i < later; ++i)
+                    window.slots[static_cast<std::size_t>(i + 1)].ci =
+                        intensities[i];
             });
-        for (std::size_t i = 0; i < window.slots.size(); ++i)
-            window.slots[i].ci = intensities[i];
     } else {
-        for (ElasticWindow::Slot &slot : window.slots)
-            slot.ci = cis.forecastAtSlot(now, slot.index);
+        for (std::size_t i = 1; i < window.slots.size(); ++i)
+            window.slots[i].ci =
+                cis.forecastAtSlot(now, window.slots[i].index);
     }
     return window;
 }

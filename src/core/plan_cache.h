@@ -22,12 +22,15 @@
  *    integral over [b, b+J_avg) (strict-< scan ≡ first occurrence of
  *    the min), plus that minimum. The per-job decision reduces to
  *    one comparison against the job's own I(now, now+J_avg).
- *  - Carbon-Time: the vector of boundary integrals; the CST ratio
- *    depends on the exact `now`, so the per-job loop replays the
- *    identical arithmetic over cached integrals.
+ *  - Carbon-Time: a read-only slice of the boundary integrals; the
+ *    CST ratio depends on the exact `now`, so the per-job loop
+ *    replays the identical arithmetic over the slice.
+ *  - Carbon-Scaler (core/elastic.cc): a slice of per-slot forecast
+ *    intensities for the slots after the arrival slot.
  *  - Lowest-Slot: the argmin slot of the waiting window (the first
  *    scanned slot is slotOf(now) itself, whose measured-truth value
- *    is the same for every arrival in the slot).
+ *    is the same for every arrival in the slot, and it is part of
+ *    the key).
  *
  * Boundary keys from consecutive arrival slots cover candidate sets
  * that overlap in all but one slot, so filling each key's miss by
@@ -35,20 +38,28 @@
  * ~count times per simulation. Misses instead draw from a per-length
  * slot table (slot boundary -> integral over [b, b+length)) that
  * computes each slot's integral exactly once, making total miss work
- * linear in the trace length rather than trace x window.
+ * linear in the trace length rather than trace x window. Slices are
+ * read in place from that table; no key owns a copy.
+ *
+ * The arrival slot is never read from a table: its value is
+ * measured truth for the reader but was a (possibly noisy) forecast
+ * for whichever earlier arrival filled it. Every table read asserts
+ * that the key's first boundary lies strictly after the reader's
+ * arrival slot.
  *
  * Replayed values are bitwise identical to direct evaluation by
  * construction — same functions, same arguments (up to a `now` the
  * result provably does not depend on) — which the golden CSV tests
  * pin end to end. Policies bypass the cache whenever the invariants
- * do not hold: sub-hourly candidate granularity, or a model-backed
- * forecaster whose predictions depend on the query instant.
+ * do not hold: sub-hourly candidate granularity, or a source whose
+ * answers depend on the query instant (a model-backed forecaster,
+ * or a fault decorator injecting stale, spike or gap faults).
  *
  * Thread-safe: one instance serves one single-threaded simulation,
  * but lookups are mutex-guarded so the cache can also be shared or
- * hammered concurrently (see tests/core/test_plan_cache.cc). Values
- * live in node-stable maps and are immutable after insertion, so
- * returned references survive later inserts.
+ * hammered concurrently (see tests/core/test_plan_cache.cc). Slices
+ * are only visited under the lock, since a later extension may move
+ * the table.
  */
 
 #ifndef GAIA_CORE_PLAN_CACHE_H
@@ -63,6 +74,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/obs.h"
 #include "common/time.h"
 
@@ -122,16 +134,17 @@ class PlanCache
 
     /**
      * The first boundary candidate minimizing the forecast integral
-     * (and that integral). `compute_slot(Seconds b) -> double` is
-     * the integral over [b, b+length) for one slot-aligned boundary;
-     * the strict-< scan over candidates (first occurrence of the
-     * min) happens here, over the shared slot table. Requires
-     * key.count > 0.
+     * (and that integral), for a reader arriving at `now`.
+     * `compute_slot(Seconds b) -> double` is the integral over
+     * [b, b+length) for one slot-aligned boundary; the strict-< scan
+     * over candidates (first occurrence of the min) happens here,
+     * over the shared slot table. Requires key.count > 0.
      */
     template <typename ComputeSlot>
-    WindowBest windowBest(const BoundaryKey &key,
+    WindowBest windowBest(const BoundaryKey &key, Seconds now,
                           ComputeSlot &&compute_slot)
     {
+        checkReader(key, now);
         const std::lock_guard<std::mutex> lock(mutex_);
         auto it = window_best_.find(key);
         if (it != window_best_.end()) {
@@ -139,7 +152,9 @@ class PlanCache
             return it->second;
         }
         ++misses_;
-        const double *integrals = tableFor(key, compute_slot);
+        bool extended = false;
+        const double *integrals =
+            tableFor(key, compute_slot, extended);
         WindowBest best{key.first, integrals[0]};
         for (std::int64_t k = 1; k < key.count; ++k) {
             if (integrals[k] < best.integral) {
@@ -152,28 +167,24 @@ class PlanCache
     }
 
     /**
-     * The forecast integrals over [b_k, b_k + length) for each
-     * boundary candidate, filled from the shared slot table via
-     * `compute_slot(Seconds b) -> double`. The reference stays
-     * valid for the cache's lifetime.
+     * Calls `visit(const double *values)` with the key's slice of
+     * the per-length slot table, for a reader arriving at `now`:
+     * values[k] is compute_slot(key.first + k·3600), the integral
+     * over [b_k, b_k + length). The table is extended first when it
+     * does not cover the key's range yet (a miss); otherwise the
+     * lookup is a hit. `visit` runs under the cache lock and must
+     * not keep the pointer.
      */
-    template <typename ComputeSlot>
-    const std::vector<double> &
-    startIntegrals(const BoundaryKey &key,
-                   ComputeSlot &&compute_slot)
+    template <typename ComputeSlot, typename Visit>
+    void startIntegrals(const BoundaryKey &key, Seconds now,
+                        ComputeSlot &&compute_slot, Visit &&visit)
     {
+        checkReader(key, now);
         const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = start_integrals_.find(key);
-        if (it != start_integrals_.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        const double *integrals = tableFor(key, compute_slot);
-        return start_integrals_
-            .emplace(key, std::vector<double>(
-                              integrals, integrals + key.count))
-            .first->second;
+        bool extended = false;
+        const double *values = tableFor(key, compute_slot, extended);
+        ++(extended ? misses_ : hits_);
+        visit(values);
     }
 
     /**
@@ -240,32 +251,45 @@ class PlanCache
         return map.emplace(key, compute()).first->second;
     }
 
+    /** Asserts the key starts strictly after `now`'s slot — the
+     *  invariant tableFor() relies on. */
+    static void checkReader(const BoundaryKey &key, Seconds now)
+    {
+        GAIA_ASSERT(key.first >= slotStart(slotOf(now)) +
+                                     kSecondsPerHour,
+                    "plan cache key starting at ", key.first,
+                    " reads the arrival slot of a reader at ", now);
+    }
+
     /**
      * Pointer to the key's first candidate inside the per-length
      * slot table, extending the table (one compute_slot call per
      * new slot) to cover the key's range. Candidates are
      * slot-aligned, so slot index = boundary / 3600. Must be called
      * with mutex_ held; the pointer is invalidated by the next
-     * extension, so callers copy what they need before unlocking.
+     * extension, so callers read what they need before unlocking.
+     * Sets `extended` when the range was not covered yet.
      *
      * Extension fills from the current table end, which on the very
      * first key also covers slots before its first candidate. Those
      * gap entries may fall at or before the filling job's arrival
      * slot — where the CIS answer is not slot-invariant under
      * oracle noise — but no key can ever read them: a key only
-     * spans slots strictly after its own job's arrival slot, and
-     * arrivals are processed in time order, so later readers sit at
-     * later slots than the filler.
+     * spans slots strictly after its own job's arrival slot (see
+     * checkReader), and arrivals are processed in time order, so
+     * later readers sit at later slots than the filler.
      */
     template <typename ComputeSlot>
     const double *tableFor(const BoundaryKey &key,
-                           ComputeSlot &&compute_slot)
+                           ComputeSlot &&compute_slot,
+                           bool &extended)
     {
         std::vector<double> &table = slot_tables_[key.length];
         const auto base =
             static_cast<std::int64_t>(key.first / kSecondsPerHour);
         const std::int64_t end = base + key.count;
-        if (static_cast<std::int64_t>(table.size()) < end) {
+        extended = static_cast<std::int64_t>(table.size()) < end;
+        if (extended) {
             // Fill timing is clock-heavy relative to the fill loop,
             // so it only runs when a metrics/trace sink asked for it.
             const bool timed = obs::detailedTimingEnabled();
@@ -291,8 +315,6 @@ class PlanCache
     mutable std::mutex mutex_;
     std::unordered_map<BoundaryKey, WindowBest, KeyHash>
         window_best_;
-    std::unordered_map<BoundaryKey, std::vector<double>, KeyHash>
-        start_integrals_;
     /** length -> integral over [b, b+length) per slot boundary b. */
     std::unordered_map<Seconds, std::vector<double>> slot_tables_;
     std::unordered_map<std::pair<SlotIndex, SlotIndex>, SlotIndex,

@@ -26,7 +26,8 @@ checkContext(const Job &job, const PlanContext &ctx)
  * needs a cache, hourly-only candidates, and source answers that do
  * not depend on the exact query instant within the arrival slot
  * (oracle truth or per-slot hashed noise qualify; forecast models
- * and fault decorators opt out via slotInvariantForecasts()).
+ * and forecast-distorting fault decorators opt out via
+ * slotInvariantForecasts()).
  */
 bool
 memoizable(const PlanContext &ctx, Seconds granularity)
@@ -227,7 +228,7 @@ LowestWindowPolicy::plan(const Job &job, const PlanContext &ctx) const
         Seconds best_start = now;
         if (key.count > 0) {
             const PlanCache::WindowBest best =
-                ctx.cache->windowBest(key, [&](Seconds s) {
+                ctx.cache->windowBest(key, now, [&](Seconds s) {
                     return cis.forecastIntegrate(now, s,
                                                  s + j_avg);
                 });
@@ -272,33 +273,36 @@ CarbonTimePolicy::plan(const Job &job, const PlanContext &ctx) const
     // Memoized path: only the boundary integrals are shareable —
     // the CST ratio divides by (s − now) + J_avg, which depends on
     // the exact arrival instant — so the per-job selection loop
-    // replays the original arithmetic over cached integrals.
+    // replays the original arithmetic over the cached slice.
     if (memoizable(ctx, granularity_)) {
         const PlanCache::BoundaryKey key =
             boundaryKey(now, ctx.queue->max_wait, j_avg);
         Seconds best_start = now;
         double best_cst = 0.0;
         if (key.count > 0) {
-            const std::vector<double> &integrals =
-                ctx.cache->startIntegrals(key, [&](Seconds s) {
-                    return cis.forecastIntegrate(now, s,
-                                                 s + j_avg);
+            ctx.cache->startIntegrals(
+                key, now,
+                [&](Seconds s) {
+                    return cis.forecastIntegrate(now, s, s + j_avg);
+                },
+                [&](const double *integrals) {
+                    for (std::int64_t k = 0; k < key.count; ++k) {
+                        // Never wait for non-positive savings.
+                        const double saving =
+                            base_integral - integrals[k];
+                        if (saving <= 0.0)
+                            continue;
+                        const Seconds s =
+                            key.first + k * kSecondsPerHour;
+                        const double completion =
+                            static_cast<double>((s - now) + j_avg);
+                        const double cst = saving / completion;
+                        if (cst > best_cst) {
+                            best_cst = cst;
+                            best_start = s;
+                        }
+                    }
                 });
-            for (std::int64_t k = 0; k < key.count; ++k) {
-                const double saving =
-                    base_integral -
-                    integrals[static_cast<std::size_t>(k)];
-                if (saving <= 0.0)
-                    continue; // never wait for non-positive savings
-                const Seconds s = key.first + k * kSecondsPerHour;
-                const double completion =
-                    static_cast<double>((s - now) + j_avg);
-                const double cst = saving / completion;
-                if (cst > best_cst) {
-                    best_cst = cst;
-                    best_start = s;
-                }
-            }
         }
         return SchedulePlan(best_start, job.length);
     }

@@ -10,13 +10,18 @@ namespace gaia {
 
 FaultyCarbonSource::FaultyCarbonSource(const CarbonInfoSource &inner,
                                        const FaultInjector &faults)
-    : inner_(inner), faults_(faults)
+    : inner_(inner), faults_(faults),
+      stale_(faults.spec().stale_rate > 0.0),
+      spike_(faults.spec().spike_rate > 0.0),
+      gap_(faults.spec().gap_rate > 0.0)
 {
 }
 
 double
 FaultyCarbonSource::rawAtSlot(Seconds now, SlotIndex slot) const
 {
+    if (!gap_)
+        return inner_.forecastAtSlot(now, slot);
     SlotIndex s = slot;
     // Last observation carried forward across gap slots; a gap at
     // the very start of the trace falls through to the inner value
@@ -29,7 +34,7 @@ FaultyCarbonSource::rawAtSlot(Seconds now, SlotIndex slot) const
 double
 FaultyCarbonSource::forecastAtSlot(Seconds now, SlotIndex slot) const
 {
-    if (faults_.staleAt(now)) {
+    if (stale_ && faults_.staleAt(now)) {
         // Feed frozen at the stale window's start: every slot at or
         // after the freeze answers with the freeze slot's value, as
         // a persistence forecast from the freeze instant would.
@@ -40,7 +45,7 @@ FaultyCarbonSource::forecastAtSlot(Seconds now, SlotIndex slot) const
         return rawAtSlot(freeze, slot);
     }
     double value = rawAtSlot(now, slot);
-    if (slot > slotOf(std::max<Seconds>(now, 0)) &&
+    if (spike_ && slot > slotOf(std::max<Seconds>(now, 0)) &&
         faults_.spikeAt(now)) {
         // Corrupted forecast generation: future slots only; the
         // current slot is a measurement.
@@ -52,7 +57,7 @@ FaultyCarbonSource::forecastAtSlot(Seconds now, SlotIndex slot) const
 double
 FaultyCarbonSource::intensityAt(Seconds t) const
 {
-    if (faults_.staleAt(t)) {
+    if (stale_ && faults_.staleAt(t)) {
         const Seconds freeze = faults_.staleFreezeAt(t);
         return rawAtSlot(freeze, slotOf(freeze));
     }

@@ -22,9 +22,13 @@
  *    slot's value (last-observation-carried-forward).
  *
  * All distortions are pure functions of (spec seed, slot), so the
- * decorator is deterministic and stateless; it never memoizes
- * (slotInvariantForecasts() is false) because stale/spike answers
- * depend on the query instant.
+ * decorator is deterministic and stateless. Stale and spike answers
+ * depend on the query instant, and a gap's carried-forward slot can
+ * land at or before the arrival slot, so any of the three opts the
+ * decorator out of PlanCache memoization. Outages only gate
+ * availableAt() and leave every forecast value untouched, so an
+ * outage-only decorator (cluster-side faults never reach it) is as
+ * memoizable as its inner source.
  */
 
 #ifndef GAIA_FAULT_FAULTY_SOURCE_H
@@ -54,9 +58,13 @@ class FaultyCarbonSource final : public CarbonInfoSource
         return !faults_.outageAt(now);
     }
 
-    /** Stale/spike answers depend on the query instant, which
-     *  breaks the PlanCache contract — never memoize. */
-    bool slotInvariantForecasts() const override { return false; }
+    /** The inner source's answer unless a stale, spike or gap
+     *  fault distorts forecast values (see the file comment). */
+    bool slotInvariantForecasts() const override
+    {
+        return !(stale_ || spike_ || gap_) &&
+               inner_.slotInvariantForecasts();
+    }
 
     double intensityAt(Seconds t) const override;
     double forecastAtSlot(Seconds now,
@@ -74,6 +82,11 @@ class FaultyCarbonSource final : public CarbonInfoSource
 
     const CarbonInfoSource &inner_;
     const FaultInjector &faults_;
+    /** Which value-distorting kinds the spec configures; inactive
+     *  kinds skip their per-slot injector queries. */
+    bool stale_;
+    bool spike_;
+    bool gap_;
 };
 
 } // namespace gaia

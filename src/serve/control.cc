@@ -26,14 +26,16 @@ fingerprintHex(std::uint64_t fp)
     return buf;
 }
 
-/** Write all of `text` to `fd`, riding out short writes. */
+/** Write all of `text` to `fd`, riding out short writes. A client
+ *  that already hung up yields EPIPE, not a SIGPIPE that would end
+ *  the daemon. */
 void
 writeAll(int fd, const std::string &text)
 {
     std::size_t off = 0;
     while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
+        const ssize_t n = ::send(fd, text.data() + off,
+                                 text.size() - off, MSG_NOSIGNAL);
         if (n <= 0)
             return; // client went away; nothing to recover
         off += static_cast<std::size_t>(n);
@@ -180,6 +182,12 @@ ControlServer::run()
                     writeAll(conn, reply + "\n");
                 if (drained)
                     open = false;
+            }
+            // Only a partial line is left; a client that never ends
+            // it must not grow the buffer without bound.
+            if (open && pending.size() > kMaxLineBytes) {
+                writeAll(conn, "err line too long\n");
+                open = false;
             }
         }
         ::close(conn);

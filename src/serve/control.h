@@ -14,15 +14,18 @@
  * `submit` offers a job to the daemon (backpressure and late
  * rejections surface as `err` lines); `drain` ends the stream,
  * closes the books, answers with the result fingerprint, and shuts
- * the server down. Connections are served sequentially — the
- * control plane is for streaming and inspection, not a
- * high-fan-in RPC system (the lock-free path is ServeDaemon::submit
- * for in-process producers).
+ * the server down. A connection that buffers more than
+ * kMaxLineBytes without a newline gets `err line too long` and is
+ * closed; the server then accepts the next connection.
+ * Connections are served sequentially — the control plane is for
+ * streaming and inspection, not a high-fan-in RPC system (the
+ * lock-free path is ServeDaemon::submit for in-process producers).
  */
 
 #ifndef GAIA_SERVE_CONTROL_H
 #define GAIA_SERVE_CONTROL_H
 
+#include <cstddef>
 #include <string>
 
 #include "serve/daemon.h"
@@ -33,6 +36,10 @@ namespace gaia::serve {
 class ControlServer
 {
   public:
+    /** Longest partial line one connection may buffer (protocol
+     *  lines are a few dozen bytes). */
+    static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
     /** Serve `daemon` on the AF_UNIX socket at `socket_path`
      *  (an existing file at that path is replaced). */
     ControlServer(ServeDaemon &daemon, std::string socket_path);

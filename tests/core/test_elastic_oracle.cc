@@ -384,6 +384,54 @@ TEST(ElasticOracle, MemoizedWindowsMatchDirectBitwise)
     }
 }
 
+/** One cache shared by noisy-forecast arrivals in successive slots:
+ *  an arrival's own slot is measured truth for it but was a noisy
+ *  forecast for the earlier arrival that filled the slot table, so
+ *  replaying the table there would break bit-identity. */
+TEST(ElasticOracle, MemoizedWindowsMatchDirectUnderNoiseAcrossSlots)
+{
+    Rng rng(8086);
+    for (int t = 0; t < 20; ++t) {
+        const CarbonTrace trace = randomTrace(rng, 96);
+        const CarbonInfoService cis(trace, 0.3,
+                                    static_cast<std::uint64_t>(t));
+        ASSERT_TRUE(cis.slotInvariantForecasts());
+        const QueueSpec queue{
+            "q", kSecondsPerDay,
+            rng.uniformInt(2, 12) * kSecondsPerHour, 0};
+
+        PlanCache cache;
+        Seconds submit = rng.uniformInt(0, kSecondsPerHour - 1);
+        for (int j = 0; j < 24; ++j) {
+            Job job;
+            job.id = j;
+            job.submit = submit;
+            job.length = rng.uniformInt(600, 6 * kSecondsPerHour);
+            job.elastic = randomConcaveProfile(rng);
+
+            const ElasticWindow direct = windowFor(job, cis, queue);
+            const ElasticWindow memo =
+                windowFor(job, cis, queue, &cache);
+            ASSERT_EQ(direct.slotCount(), memo.slotCount());
+            for (int s = 0; s < direct.slotCount(); ++s) {
+                ASSERT_EQ(direct.slots[static_cast<std::size_t>(s)].ci,
+                          memo.slots[static_cast<std::size_t>(s)].ci)
+                    << "instance " << t << " job " << j << " slot "
+                    << s;
+            }
+            ASSERT_TRUE(planElasticGreedy(direct, job.length) ==
+                        planElasticGreedy(memo, job.length));
+
+            // Every other job stays in the slot; the rest move on
+            // to a random instant of the next one.
+            if (j % 2 == 1)
+                submit = slotStart(slotOf(submit) + 1) +
+                         rng.uniformInt(0, kSecondsPerHour - 1);
+        }
+        EXPECT_GT(cache.hits(), 0u);
+    }
+}
+
 TEST(ElasticOracle, NonConcaveProfilesStillProduceValidPlans)
 {
     // The bit-exact oracle only covers concave profiles (where the

@@ -3,6 +3,7 @@
 
 #include "core/plan_cache.h"
 
+#include <atomic>
 #include <sstream>
 #include <vector>
 
@@ -37,14 +38,14 @@ TEST(PlanCache, WindowBestPicksFirstMinimum)
         return values[b / kSecondsPerHour];
     };
     const PlanCache::WindowBest best =
-        cache.windowBest(key, slot_value);
+        cache.windowBest(key, 0, slot_value);
     EXPECT_EQ(best.start, hours(1));
     EXPECT_EQ(best.integral, 2.0);
     EXPECT_EQ(cache.misses(), 1u);
 
     // Second lookup is a hit and must not recompute.
     const PlanCache::WindowBest again = cache.windowBest(
-        key, [](Seconds) -> double { ADD_FAILURE(); return 0.0; });
+        key, 0, [](Seconds) -> double { ADD_FAILURE(); return 0.0; });
     EXPECT_EQ(again.start, best.start);
     EXPECT_EQ(again.integral, best.integral);
     EXPECT_EQ(cache.hits(), 1u);
@@ -61,37 +62,69 @@ TEST(PlanCache, SlotTableComputesEachSlotOnce)
 
     // First key covers slots [1, 4); filling also covers the gap
     // from slot 0, so 4 computations.
-    cache.windowBest({hours(1), 3, hours(2)}, slot_value);
+    cache.windowBest({hours(1), 3, hours(2)}, 0, slot_value);
     EXPECT_EQ(computes, 4);
 
-    // An overlapping key of the same length extends by one slot.
-    const std::vector<double> &integrals = cache.startIntegrals(
-        {hours(2), 3, hours(2)}, slot_value);
+    // An overlapping key of the same length extends by one slot and
+    // reads its slice in place.
+    std::vector<double> integrals;
+    cache.startIntegrals({hours(2), 3, hours(2)}, hours(1), slot_value,
+                         [&](const double *values) {
+                             integrals.assign(values, values + 3);
+                         });
     EXPECT_EQ(computes, 5);
-    ASSERT_EQ(integrals.size(), 3u);
     EXPECT_EQ(integrals[0], static_cast<double>(hours(2)));
     EXPECT_EQ(integrals[2], static_cast<double>(hours(4)));
+    EXPECT_EQ(cache.misses(), 2u);
+
+    // A key the table already covers is a hit and computes nothing.
+    cache.startIntegrals({hours(1), 4, hours(2)}, 0, slot_value,
+                         [](const double *) {});
+    EXPECT_EQ(computes, 5);
+    EXPECT_EQ(cache.hits(), 1u);
 
     // A different window length gets its own table.
-    cache.windowBest({hours(1), 2, hours(5)}, slot_value);
+    cache.windowBest({hours(1), 2, hours(5)}, 0, slot_value);
     EXPECT_EQ(computes, 8);
 }
 
-TEST(PlanCache, StartIntegralsReferenceSurvivesLaterInserts)
+TEST(PlanCache, KeysMustStartAfterTheReadersArrivalSlot)
+{
+    PlanCache cache;
+    const auto slot_value = [](Seconds b) {
+        return static_cast<double>(b);
+    };
+    // A key starting in the reader's own arrival slot would replay a
+    // value an earlier arrival saw as a forecast.
+    EXPECT_DEATH(cache.startIntegrals({hours(3), 2, hours(1)},
+                                      hours(3) + 10, slot_value,
+                                      [](const double *) {}),
+                 "arrival slot");
+    EXPECT_DEATH(cache.windowBest({hours(3), 2, hours(1)},
+                                  hours(3) + 3599, slot_value),
+                 "arrival slot");
+}
+
+TEST(PlanCache, StartIntegralsSliceSurvivesLaterExtensions)
 {
     PlanCache cache;
     const auto slot_value = [](Seconds b) {
         return static_cast<double>(b) + 0.5;
     };
-    const std::vector<double> &first =
-        cache.startIntegrals({hours(1), 2, hours(3)}, slot_value);
-    const std::vector<double> expected = first; // copy now
+    const auto slice = [&](Seconds first) {
+        std::vector<double> values;
+        cache.startIntegrals({first, 2, hours(3)}, 0, slot_value,
+                             [&](const double *v) {
+                                 values.assign(v, v + 2);
+                             });
+        return values;
+    };
+    const std::vector<double> expected = slice(hours(1));
 
-    for (int k = 0; k < 200; ++k) {
-        cache.startIntegrals(
-            {hours(1 + k), 2, hours(3)}, slot_value);
-    }
-    EXPECT_EQ(first, expected);
+    // Each key extends the table, which may move it in memory.
+    for (int k = 0; k < 200; ++k)
+        slice(hours(1 + k));
+    EXPECT_EQ(slice(hours(1)), expected);
 }
 
 TEST(PlanCache, MinSlotCachesPerRange)
@@ -128,6 +161,7 @@ TEST(PlanCache, ConcurrentHammerKeepsCountersConsistent)
     const int kTasks = 8;
     const int kIters = 200;
     const int kKeys = 16;
+    std::atomic<int> slot_computes{0};
 
     TaskGroup group(pool);
     for (int t = 0; t < kTasks; ++t) {
@@ -136,19 +170,26 @@ TEST(PlanCache, ConcurrentHammerKeepsCountersConsistent)
                 const Seconds first = hours(1 + i % kKeys);
                 const PlanCache::BoundaryKey key{first, 3,
                                                  hours(2)};
-                const auto slot_value = [](Seconds b) {
+                const auto slot_value = [&](Seconds b) {
+                    ++slot_computes;
                     return static_cast<double>(b) * 2.0;
                 };
                 const PlanCache::WindowBest best =
-                    cache.windowBest(key, slot_value);
+                    cache.windowBest(key, 0, slot_value);
                 // Values double with the boundary, so the first
                 // candidate always wins.
                 ASSERT_EQ(best.start, first);
-                const std::vector<double> &integrals =
-                    cache.startIntegrals(key, slot_value);
-                ASSERT_EQ(integrals.size(), 3u);
-                ASSERT_EQ(integrals[0],
-                          static_cast<double>(first) * 2.0);
+                double head = 0.0;
+                double tail = 0.0;
+                cache.startIntegrals(key, 0, slot_value,
+                                     [&](const double *integrals) {
+                                         head = integrals[0];
+                                         tail = integrals[2];
+                                     });
+                ASSERT_EQ(head, static_cast<double>(first) * 2.0);
+                ASSERT_EQ(tail, static_cast<double>(first +
+                                                    hours(2)) *
+                                    2.0);
                 ASSERT_EQ(cache.minSlot(
                               slotOf(first), slotOf(first) + 3,
                               [&] { return slotOf(first); }),
@@ -161,9 +202,13 @@ TEST(PlanCache, ConcurrentHammerKeepsCountersConsistent)
     const std::uint64_t lookups =
         static_cast<std::uint64_t>(kTasks) * kIters * 3;
     EXPECT_EQ(cache.hits() + cache.misses(), lookups);
-    // Each distinct (key, kind) computes exactly once.
+    // Each distinct windowBest and minSlot key computes exactly
+    // once; startIntegrals always follows a windowBest of the same
+    // key, whose table then covers its range, so it never misses.
     EXPECT_EQ(cache.misses(),
-              static_cast<std::uint64_t>(kKeys) * 3);
+              static_cast<std::uint64_t>(kKeys) * 2);
+    // The shared slot table computed each slot exactly once.
+    EXPECT_EQ(slot_computes.load(), kKeys + 3);
 }
 
 /** Jobs planned with and without the cache must match bit for bit
@@ -217,18 +262,22 @@ TEST(PlanCacheEquivalence, StartIntegralsMatchReferenceBitwise)
         const CarbonTrace trace = randomTrace(rng, 72);
         PlanCache cache;
         const Seconds window = hours(rng.uniformInt(1, 6));
+        // Keys start at least one slot after the reader's arrival.
         const Seconds first =
-            hours(rng.uniformInt(0, 24));
+            hours(rng.uniformInt(1, 25));
+        const Seconds now = first - 1;
         const std::int64_t count = rng.uniformInt(1, 12);
         const PlanCache::BoundaryKey key{first, count, window};
         const auto slot_value = [&](Seconds b) {
             return trace.integrate(b, b + window);
         };
         for (int pass = 0; pass < 2; ++pass) {
-            const std::vector<double> &integrals =
-                cache.startIntegrals(key, slot_value);
-            ASSERT_EQ(integrals.size(),
-                      static_cast<std::size_t>(count));
+            std::vector<double> integrals;
+            cache.startIntegrals(key, now, slot_value,
+                                 [&](const double *values) {
+                                     integrals.assign(values,
+                                                      values + count);
+                                 });
             for (std::int64_t i = 0; i < count; ++i) {
                 const Seconds b = first + i * kSecondsPerHour;
                 ASSERT_EQ(integrals[static_cast<std::size_t>(i)],

@@ -37,7 +37,9 @@ TEST(FaultySource, GroundTruthPassesThrough)
     // Accounting reads the inner trace by reference — a flaky feed
     // does not change what the grid emitted.
     EXPECT_EQ(&faulty.trace(), &inner.trace());
-    EXPECT_FALSE(faulty.slotInvariantForecasts());
+    // Outages leave forecast values alone, so the decorator is as
+    // memoizable as its inner source.
+    EXPECT_TRUE(faulty.slotInvariantForecasts());
 }
 
 TEST(FaultySource, OutageOnlyAffectsAvailability)
