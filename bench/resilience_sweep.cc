@@ -74,12 +74,9 @@ const std::vector<FaultAxis> kAxes = {
 int
 main(int argc, char **argv)
 {
-    const auto extras =
-        bench::parseBenchArgs(argc, argv, {"--fault-seed="});
     std::uint64_t fault_seed = 1;
-    if (const auto it = extras.find("--fault-seed"); it != extras.end())
-        fault_seed = static_cast<std::uint64_t>(
-            bench::intFlagValue(argv[0], it->first, it->second));
+    bench::parseBenchArgs(argc, argv,
+                          {seedRow("--fault-seed", fault_seed, "")});
     bench::banner("Resilience",
                   "carbon savings vs fault intensity (week-long "
                   "Alibaba-PAI, SA-AU, Spot-First)");

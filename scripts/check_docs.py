@@ -30,7 +30,6 @@ FLAG_SOURCES = [
     "src/cli/options.cc",
     "src/cli/gaia_serve.cc",
     "bench/bench_common.h",
-    "bench/micro_serve_ingest.cc",
     "bench/resilience_sweep.cc",
 ]
 FLAG_DOC = "docs/CLI.md"

@@ -20,8 +20,6 @@
 
 #include "cli/options.h"
 #include "cli/runner.h"
-#include "common/obs.h"
-#include "common/strings.h"
 #include "serve/control.h"
 #include "serve/daemon.h"
 
@@ -35,32 +33,6 @@ reportError(const gaia::Status &status)
     return 2;
 }
 
-std::string
-serveUsage()
-{
-    return "gaia_serve — stream jobs into the GAIA policy engine "
-           "over a control socket\n\n"
-           "Serving:\n"
-           "  --socket PATH         AF_UNIX control socket path "
-           "(default gaia_serve.sock)\n"
-           "  --accel F             virtual seconds per wall second; "
-           "0 = unpaced (default 1000)\n"
-           "  --queue-capacity N    submission-queue slots before "
-           "backpressure (default 65536)\n\n"
-           "Control protocol (one command per line):\n"
-           "  submit <id> <submit> <length> <cpus> -> ok | err "
-           "<message>\n"
-           "  stats                                -> one-line "
-           "JSON\n"
-           "  drain                                -> drained "
-           "<fingerprint-hex>\n"
-           "  quit                                 -> close "
-           "connection\n\n"
-           "The scenario is described by the gaia_run flags "
-           "(workload, region,\npolicy, cluster...); they follow "
-           "below.\n\n";
-}
-
 } // namespace
 
 int
@@ -69,66 +41,26 @@ main(int argc, char **argv)
     using namespace gaia;
     using namespace gaia::serve;
 
-    // Peel off the serve-specific flags; everything else is the
-    // scenario description and goes through the gaia_run parser.
-    std::string socket_path = "gaia_serve.sock";
-    double accel = 1000.0;
-    std::size_t queue_capacity = 1 << 16;
-
-    std::vector<std::string> scenario_args;
-    const std::vector<std::string> args = expandEqualsArgs(
-        std::vector<std::string>(argv + 1, argv + argc));
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--socket" && has_value) {
-            socket_path = args[++i];
-        } else if (arg == "--accel" && has_value) {
-            const Result<double> v =
-                tryParseDouble(args[++i], "--accel");
-            if (!v.isOk())
-                return reportError(v.status());
-            accel = *v;
-        } else if (arg == "--queue-capacity" && has_value) {
-            const Result<std::int64_t> v =
-                tryParseInt(args[++i], "--queue-capacity");
-            if (!v.isOk())
-                return reportError(v.status());
-            if (*v <= 0)
-                return reportError(Status::invalidArgument(
-                    "--queue-capacity must be positive"));
-            queue_capacity = static_cast<std::size_t>(*v);
-        } else {
-            scenario_args.push_back(arg);
-        }
-    }
-
     CliOptions options;
-    const Result<CliAction> action =
-        parseCliOptions(scenario_args, options);
+    ServeFlags serve;
+    const Result<CliAction> action = parseServeOptions(
+        std::vector<std::string>(argv + 1, argv + argc), options, serve);
     if (!action.isOk())
         return reportError(action.status());
-    if (*action != CliAction::Run) {
-        std::cout << serveUsage() << cliUsage();
+    if (*action == CliAction::ShowHelp) {
+        std::cout << serveUsage();
         return 0;
     }
-
-    const bool wants_obs =
-        !options.metrics_out.empty() || !options.trace_out.empty();
-    if (wants_obs) {
-        obs::setDetailedTiming(true);
-        obs::setThreadTrackName("main");
-    }
-    if (!options.trace_out.empty())
-        obs::setTracingEnabled(true);
+    if (const Status shared = applySharedFlags(options); !shared.isOk())
+        return reportError(shared);
 
     ServeConfig config;
     const Result<ScenarioSpec> spec = scenarioFromOptions(options);
     if (!spec.isOk())
         return reportError(spec.status());
     config.scenario = *spec;
-    config.accel = accel;
-    config.queue_capacity = queue_capacity;
+    config.accel = serve.accel;
+    config.queue_capacity = serve.queue_capacity;
 
     Result<std::unique_ptr<ServeDaemon>> daemon =
         ServeDaemon::start(config);
@@ -137,26 +69,20 @@ main(int argc, char **argv)
 
     // Announced (and flushed) before the blocking accept loop so
     // scripts can wait for readiness by watching stdout.
-    std::cout << "gaia_serve: listening on " << socket_path
-              << " (accel " << accel << "x, queue "
+    std::cout << "gaia_serve: listening on " << serve.socket
+              << " (accel " << serve.accel << "x, queue "
               << (*daemon)->stats().queue_capacity << " slots, "
               << (*daemon)->calibrationTrace().jobCount()
               << "-job calibration trace)" << std::endl;
 
-    ControlServer server(**daemon, socket_path);
+    ControlServer server(**daemon, serve.socket);
     Result<SimulationResult> run = server.run();
 
-    bool sinks_ok = true;
-    if (!options.metrics_out.empty())
-        sinks_ok &= obs::writeMetricsJson(options.metrics_out);
-    if (!options.trace_out.empty())
-        sinks_ok &= obs::writeTraceJson(options.trace_out);
-
+    const Status sinks = writeObsSinks(options, std::cout);
     if (!run.isOk())
         return reportError(run.status());
-    if (!sinks_ok)
-        return reportError(Status::invalidArgument(
-            "failed to write observability sink(s)"));
+    if (!sinks.isOk())
+        return reportError(sinks);
 
     const SimulationResult &result = *run;
     char hex[17];

@@ -43,12 +43,13 @@ defaultParallelThreads()
         const long parsed = std::strtol(env, &end, 10);
         const bool numeric =
             end != env && end != nullptr && *end == '\0';
-        if (numeric && parsed > 0)
+        if (numeric && parsed > 0 && parsed <= kMaxParallelThreads)
             return static_cast<unsigned>(parsed);
         static std::once_flag warned;
         std::call_once(warned, [env] {
             warn("ignoring invalid GAIA_THREADS value '", env,
-                 "' (expected a positive integer)");
+                 "' (expected an integer in [1, ", kMaxParallelThreads,
+                 "])");
         });
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -62,6 +62,13 @@ namespace gaia {
 class TaskGroup;
 
 /**
+ * Largest worker count --threads or GAIA_THREADS may ask for. The
+ * pool starts one OS thread per worker, so an unbounded value would
+ * try to start that many threads.
+ */
+constexpr unsigned kMaxParallelThreads = 1024;
+
+/**
  * Override the default worker count for the process (0 restores
  * automatic selection). Takes precedence over GAIA_THREADS. Affects
  * parallelFor's default fan-out immediately; the singleton pool's
@@ -72,8 +79,9 @@ void setParallelThreads(unsigned threads);
 /**
  * Worker count used when none is passed explicitly:
  * setParallelThreads() override, then GAIA_THREADS, then hardware
- * concurrency (minimum 1). A non-numeric or non-positive
- * GAIA_THREADS value is ignored with a once-per-process warning.
+ * concurrency (minimum 1). A GAIA_THREADS value that is not an
+ * integer in [1, kMaxParallelThreads] is ignored with a
+ * once-per-process warning.
  */
 unsigned defaultParallelThreads();
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <memory>
@@ -376,25 +375,6 @@ writeMetricsJson(std::ostream &out, const MetricsSnapshot &snapshot)
     out << "}\n";
 }
 
-bool
-writeMetricsJson(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "gaia: cannot open metrics sink %s\n",
-                     path.c_str());
-        return false;
-    }
-    writeMetricsJson(out, metricsSnapshot());
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "gaia: failed writing metrics to %s\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
 void
 printMetricsSummary(std::ostream &out, const MetricsSnapshot &snapshot)
 {
@@ -592,25 +572,6 @@ writeTraceJson(std::ostream &out)
         }
     }
     out << "\n]}\n";
-}
-
-bool
-writeTraceJson(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "gaia: cannot open trace sink %s\n",
-                     path.c_str());
-        return false;
-    }
-    writeTraceJson(out);
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "gaia: failed writing trace to %s\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
 }
 
 void

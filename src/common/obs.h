@@ -293,10 +293,6 @@ void resetMetrics();
 void writeMetricsJson(std::ostream &out,
                       const MetricsSnapshot &snapshot);
 
-/** Snapshot the registry and write it to `path`; false on I/O
- *  error (reported to stderr). */
-bool writeMetricsJson(const std::string &path);
-
 /** Human-readable aligned table of a snapshot (--verbose). */
 void printMetricsSummary(std::ostream &out,
                          const MetricsSnapshot &snapshot);
@@ -388,9 +384,6 @@ class Span
  * recording is tolerated; spans still in flight are absent.
  */
 void writeTraceJson(std::ostream &out);
-
-/** As above to `path`; false on I/O error (reported to stderr). */
-bool writeTraceJson(const std::string &path);
 
 /** Drop every recorded span (tests); tracks and names survive. */
 void clearTrace();

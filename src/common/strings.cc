@@ -117,21 +117,4 @@ toLower(std::string_view text)
     return out;
 }
 
-std::vector<std::string>
-expandEqualsArgs(const std::vector<std::string> &args)
-{
-    std::vector<std::string> expanded;
-    expanded.reserve(args.size());
-    for (const std::string &arg : args) {
-        const std::size_t eq = arg.find('=');
-        if (startsWith(arg, "--") && eq != std::string::npos) {
-            expanded.push_back(arg.substr(0, eq));
-            expanded.push_back(arg.substr(eq + 1));
-        } else {
-            expanded.push_back(arg);
-        }
-    }
-    return expanded;
-}
-
 } // namespace gaia

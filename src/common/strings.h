@@ -49,15 +49,6 @@ bool startsWith(std::string_view text, std::string_view prefix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view text);
 
-/**
- * Expand "--flag=value" arguments into the separate "--flag",
- * "value" form the CLI/bench parsers consume. Only arguments that
- * start with "--" and contain '=' are split (at the first '=');
- * everything else passes through untouched.
- */
-std::vector<std::string>
-expandEqualsArgs(const std::vector<std::string> &args);
-
 } // namespace gaia
 
 #endif // GAIA_COMMON_STRINGS_H

@@ -51,7 +51,6 @@ const std::vector<std::string> kFlagSources = {
     "src/cli/options.cc",
     "src/cli/gaia_serve.cc",
     "bench/bench_common.h",
-    "bench/micro_serve_ingest.cc",
     "bench/resilience_sweep.cc",
 };
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -194,6 +195,12 @@ TEST(Threads, GarbageEnvValueWarnsOnceAndFallsBack)
     const unsigned fallback = defaultParallelThreads();
     const std::size_t after_first = warningCount();
     const unsigned again = defaultParallelThreads();
+    // Above the ceiling is invalid too: no pool of that size starts.
+    const std::string above = std::to_string(kMaxParallelThreads + 1);
+    for (const std::string &value : {above, std::string("4294967297")}) {
+        EXPECT_EQ(setenv("GAIA_THREADS", value.c_str(), 1), 0);
+        EXPECT_EQ(defaultParallelThreads(), fallback) << value;
+    }
     setQuiet(false);
     unsetenv("GAIA_THREADS");
 
@@ -210,6 +217,8 @@ TEST(Threads, ValidEnvValueIsUsed)
     setParallelThreads(0);
     ASSERT_EQ(setenv("GAIA_THREADS", "5", 1), 0);
     EXPECT_EQ(defaultParallelThreads(), 5u);
+    ASSERT_EQ(setenv("GAIA_THREADS", "1024", 1), 0);
+    EXPECT_EQ(defaultParallelThreads(), kMaxParallelThreads);
     unsetenv("GAIA_THREADS");
 }
 
